@@ -9,7 +9,11 @@
 //! * `fast/*` — strided kernels + gate fusion, thread cap 1 (isolates the
 //!   single-threaded strided+fusion win);
 //! * `fast_mt/*` — same with the automatic thread policy (engages only for
-//!   n ≥ 18 on multi-core hosts; identical to `fast` on one core).
+//!   n ≥ 18 on multi-core hosts; identical to `fast` on one core);
+//! * `qsim_grover_search/known_count/n18` — a whole `grover_known_count`
+//!   search at thread cap 1 with a binary-search oracle over 64 sorted
+//!   marked indices, so the oracle's cost shows (the `i == target` cells
+//!   above hide it).
 //!
 //! `BENCH_qsim.json` at the repo root records the medians; regen with:
 //!
@@ -19,11 +23,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsim::complex::C64;
-use qsim::grover::grover_iterate;
+use qsim::grover::{grover_iterate, grover_known_count};
 use qsim::kernels::set_thread_cap;
 use qsim::qft::iqft_circuit;
 use qsim::reference;
 use qsim::state::State;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::f64::consts::PI;
 
 const SIZES: [usize; 2] = [8, 20];
@@ -118,5 +124,29 @@ fn bench_iqft(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_grover_iteration, bench_iqft);
+fn bench_grover_search(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qsim_grover_search");
+    group.sample_size(10);
+    let n = 18;
+    let mut rng = StdRng::seed_from_u64(18);
+    let mut marked: Vec<usize> = Vec::new();
+    while marked.len() < 64 {
+        let i = rng.gen_range(0..1usize << n);
+        if !marked.contains(&i) {
+            marked.push(i);
+        }
+    }
+    marked.sort_unstable();
+    set_thread_cap(1);
+    group.bench_with_input(BenchmarkId::new("known_count", format!("n{n}")), &n, |b, &n| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(7);
+            grover_known_count(1 << n, marked.len(), |i| marked.binary_search(&i).is_ok(), &mut rng)
+        })
+    });
+    set_thread_cap(usize::MAX);
+    group.finish();
+}
+
+criterion_group!(benches, bench_grover_iteration, bench_iqft, bench_grover_search);
 criterion_main!(benches);

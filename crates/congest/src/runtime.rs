@@ -648,92 +648,6 @@ impl<'g> Network<'g> {
         self.exec_loop(nodes, obs, 1, SeqDriver)
     }
 
-    /// Like [`run`](Self::run), but records structured telemetry into
-    /// `tel`. See [`Exec::telemetry`] for the semantics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).telemetry(tel).run()`")]
-    pub fn run_telemetry<P>(
-        &self,
-        nodes: Vec<P>,
-        tel: &mut Collector,
-    ) -> Result<Run<P>, RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-    {
-        let out = self.exec(nodes).telemetry(tel).run()?;
-        Ok(Run { nodes: out.nodes, stats: out.stats })
-    }
-
-    /// Like [`run`](Self::run), but also records a per-round [`Trace`].
-    /// See [`Exec::traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).traced().run()`")]
-    pub fn run_traced<P>(&self, nodes: Vec<P>) -> Result<(Run<P>, Trace), RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-    {
-        let out = self.exec(nodes).traced().run()?;
-        Ok((Run { nodes: out.nodes, stats: out.stats }, out.trace))
-    }
-
-    /// Traced run in *audit mode*: model breaches are recorded as
-    /// [`Violation`]s instead of aborting. See [`Exec::audited`].
-    ///
-    /// # Errors
-    ///
-    /// Only hard failures error here: wrong node count, round-limit
-    /// exhaustion, and protocol-reported failures such as
-    /// [`RetryBudgetExhausted`](RuntimeError::RetryBudgetExhausted).
-    #[deprecated(note = "use `net.exec(nodes).traced().audited().run()`")]
-    pub fn run_audited<P>(
-        &self,
-        nodes: Vec<P>,
-    ) -> Result<(Run<P>, Trace, Vec<Violation>), RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-    {
-        let out = self.exec(nodes).traced().audited().run()?;
-        Ok((Run { nodes: out.nodes, stats: out.stats }, out.trace, out.violations))
-    }
-
-    /// Telemetry on the single-threaded engine. See [`Exec::telemetry`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).telemetry(tel).run_sequential()`")]
-    pub fn run_sequential_telemetry<P: NodeProtocol>(
-        &self,
-        nodes: Vec<P>,
-        tel: &mut Collector,
-    ) -> Result<Run<P>, RuntimeError> {
-        let out = self.exec(nodes).telemetry(tel).run_sequential()?;
-        Ok(Run { nodes: out.nodes, stats: out.stats })
-    }
-
-    /// Traced run on the single-threaded engine. See [`Exec::traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    #[deprecated(note = "use `net.exec(nodes).traced().run_sequential()`")]
-    pub fn run_sequential_traced<P: NodeProtocol>(
-        &self,
-        nodes: Vec<P>,
-    ) -> Result<(Run<P>, Trace), RuntimeError> {
-        let out = self.exec(nodes).traced().run_sequential()?;
-        Ok((Run { nodes: out.nodes, stats: out.stats }, out.trace))
-    }
-
     /// Validate one sender's outbox against the model, apply fault
     /// verdicts, and hand each surviving message to `sink` — the single
     /// validation/fault/delivery path shared by both engines.

@@ -265,7 +265,7 @@ impl NodeProtocol for BroadcastRegisterProtocol {
         if self.may_send() && !self.tree.children.is_empty() {
             let len = self.chunk_bits.min(self.have - self.sent);
             let payload = self.reg.get_bits(self.sent, len);
-            for &c in &self.tree.children.clone() {
+            for &c in &self.tree.children {
                 ctx.send(c, Chunk { nbits: len, payload });
             }
             self.sent += len;

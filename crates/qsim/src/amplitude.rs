@@ -8,29 +8,30 @@
 //! amplitude estimation reads out via phase estimation.
 
 use crate::complex::C64;
+use crate::grover::iterate;
+use crate::oracle::MarkedSet;
 use crate::phase_estimation::phase_estimation;
 use crate::state::State;
 use rand::Rng;
 use std::f64::consts::PI;
 
 /// Apply the amplification iterate `Q = −A S₀ A† S_f` (uncontrolled) to the
-/// `q` low-order qubits.
-pub fn amplification_iterate<F: Fn(usize) -> bool + Sync>(state: &mut State, q: usize, good: &F) {
-    let mask = (1usize << q) - 1;
-    // S_f: flip good states.
-    state.phase_flip_where(|x| good(x & mask));
-    // A S₀ A† = H^{⊗q} S₀ H^{⊗q} = I − 2|u⟩⟨u|: inversion about the mean
-    // in closed form (two passes instead of the 2q + 1-pass gate cascade).
-    state.inversion_about_mean(q);
+/// `q` low-order qubits. Compiles the oracle of `good` (one call per basis
+/// value of the register) for this single iterate.
+pub fn amplification_iterate<F: Fn(usize) -> bool>(state: &mut State, q: usize, good: &F) {
+    // S_f, then A S₀ A† = H^{⊗q} S₀ H^{⊗q} = I − 2|u⟩⟨u| as the closed-form
+    // inversion about the mean: the Grover iterate over all 2^q values.
     // Global −1: irrelevant uncontrolled; kept implicit here (see the
     // controlled variant below where it matters).
+    iterate(state, &MarkedSet::compile(q, 1 << q, good));
 }
 
 /// Apply `Q^{2^j}` controlled on `control`, with the data register on
 /// qubits `offset..offset+q`. The global `−1` of `Q` becomes a conditional
 /// phase on the control — it must be tracked for phase estimation to read
-/// the correct eigenphase.
-pub fn controlled_iterate_power<F: Fn(usize) -> bool + Sync>(
+/// the correct eigenphase. Compiles the oracle of `good` (one call per
+/// basis value of the register) once for all `2^j` repetitions.
+pub fn controlled_iterate_power<F: Fn(usize) -> bool>(
     state: &mut State,
     control: usize,
     q: usize,
@@ -38,6 +39,12 @@ pub fn controlled_iterate_power<F: Fn(usize) -> bool + Sync>(
     good: &F,
     j: u32,
 ) {
+    controlled_power(state, control, offset, &MarkedSet::compile(q, 1 << q, good), j);
+}
+
+/// [`controlled_iterate_power`] with a compiled oracle.
+fn controlled_power(state: &mut State, control: usize, offset: usize, good: &MarkedSet, j: u32) {
+    let q = good.qubits();
     let reps = 1u64 << j;
     let cbit = 1usize << control;
     let h = {
@@ -50,7 +57,7 @@ pub fn controlled_iterate_power<F: Fn(usize) -> bool + Sync>(
     let dmask = ((1usize << q) - 1) << offset;
     for _ in 0..reps {
         // controlled S_f
-        state.phase_flip_where(|x| x & cbit != 0 && good((x & dmask) >> offset));
+        good.apply_controlled(state, cbit, offset);
         // controlled H^{⊗q}
         for d in 0..q {
             state.apply_controlled_1q(&[control], offset + d, h);
@@ -76,22 +83,25 @@ pub fn amplified_probability(a: f64, j: usize) -> f64 {
 /// Amplitude amplification driver: prepare uniform, run `j` iterates,
 /// sample; repeat up to `reps` times (the `log(1/δ)` boosting of
 /// Corollary 28). Returns a good index if found.
-pub fn amplify_and_sample<F: Fn(usize) -> bool + Sync, R: Rng>(
+///
+/// `good` must be pure: it is called exactly once per basis value of the
+/// `q`-qubit register, to compile the oracle that every repetition and
+/// verification reuses.
+pub fn amplify_and_sample<F: Fn(usize) -> bool, R: Rng>(
     q: usize,
     good: F,
     j: usize,
     reps: usize,
     rng: &mut R,
 ) -> Option<usize> {
-    let mask = (1usize << q) - 1;
+    let oracle = MarkedSet::compile(q, 1 << q, good);
     for _ in 0..reps {
-        let mut s = State::zero(q);
-        s.h_all(0..q);
+        let mut s = State::uniform(q, 0..q);
         for _ in 0..j {
-            amplification_iterate(&mut s, q, &good);
+            iterate(&mut s, &oracle);
         }
-        let out = s.sample(rng) & mask;
-        if good(out) {
+        let out = s.sample(rng);
+        if oracle.contains(out) {
             return Some(out);
         }
     }
@@ -102,17 +112,21 @@ pub fn amplify_and_sample<F: Fn(usize) -> bool + Sync, R: Rng>(
 /// `a = |good ∩ [2^q]| / 2^q` with `t` counting qubits. The estimate
 /// satisfies `|ã − a| ≤ 2π√(a(1−a))/2^t + π²/4^t` with probability
 /// ≥ 8/π².
-pub fn estimate_amplitude<F: Fn(usize) -> bool + Sync, R: Rng>(
+///
+/// `good` must be pure: it is called exactly once per basis value of the
+/// `q`-qubit register, to compile the oracle that every controlled power
+/// reuses.
+pub fn estimate_amplitude<F: Fn(usize) -> bool, R: Rng>(
     q: usize,
     good: F,
     t: usize,
     rng: &mut R,
 ) -> f64 {
     // Layout: counting qubits 0..t, data qubits t..t+q.
-    let mut s = State::zero(t + q);
-    s.h_all(t..t + q);
+    let oracle = MarkedSet::compile(q, 1 << q, good);
+    let mut s = State::uniform(t + q, t..t + q);
     let u = |state: &mut State, control: usize, j: u32| {
-        controlled_iterate_power(state, control, q, t, &good, j);
+        controlled_power(state, control, t, &oracle, j);
     };
     let m = phase_estimation(&mut s, t, &u, rng);
     let phi = m as f64 / (1usize << t) as f64;

@@ -1,21 +1,23 @@
 //! Grover search on the statevector — exact-mode ground truth for the
 //! parallel-Grover emulation of `pquery` (paper Lemma 2 builds on this).
 
-use crate::oracle::{index_qubits, phase_oracle};
+use crate::oracle::{index_qubits, MarkedSet};
 use crate::state::State;
 use rand::Rng;
 use std::f64::consts::PI;
 
 /// One Grover iterate on the `q` low-order qubits: phase oracle followed by
-/// the diffusion (inversion about the uniform superposition).
-pub fn grover_iterate<F: Fn(usize) -> bool + Sync>(
-    state: &mut State,
-    q: usize,
-    k: usize,
-    marked: &F,
-) {
-    phase_oracle(state, q, k, marked);
-    diffusion(state, q);
+/// the diffusion (inversion about the uniform superposition). Compiles the
+/// oracle of `marked` (one call per `i < k`) for this single iterate; the
+/// drivers below compile once per search instead.
+pub fn grover_iterate<F: Fn(usize) -> bool>(state: &mut State, q: usize, k: usize, marked: &F) {
+    iterate(state, &MarkedSet::compile(q, k, marked));
+}
+
+/// One Grover iterate with a compiled oracle on its `q` low-order qubits.
+pub(crate) fn iterate(state: &mut State, oracle: &MarkedSet) {
+    oracle.apply(state);
+    diffusion(state, oracle.qubits());
 }
 
 /// The diffusion operator `2|u⟩⟨u| − I` on the `q` low-order qubits,
@@ -50,10 +52,14 @@ pub struct GroverResult {
 /// Grover search with *known* number of marked items `t`: runs the optimal
 /// `⌊(π/4)·√(N/t)⌋` iterations once and verifies the measured index.
 ///
+/// `marked` must be pure: it is called exactly once per index `i < k`, to
+/// compile the oracle, and the iterations and the verification query read
+/// the compiled [`MarkedSet`].
+///
 /// # Panics
 ///
 /// Panics if `k == 0` or `t == 0`.
-pub fn grover_known_count<F: Fn(usize) -> bool + Sync, R: Rng>(
+pub fn grover_known_count<F: Fn(usize) -> bool, R: Rng>(
     k: usize,
     t: usize,
     marked: F,
@@ -64,14 +70,13 @@ pub fn grover_known_count<F: Fn(usize) -> bool + Sync, R: Rng>(
     let big_n = 1usize << q;
     let theta = ((t as f64) / big_n as f64).sqrt().asin();
     let j = ((PI / 4.0) / theta).floor() as usize;
-    let mut s = State::zero(q);
-    s.h_all(0..q);
+    let oracle = MarkedSet::compile(q, k, marked);
+    let mut s = State::uniform(q, 0..q);
     for _ in 0..j {
-        grover_iterate(&mut s, q, k, &marked);
+        iterate(&mut s, &oracle);
     }
     let out = s.sample(rng);
-    let found = if out < k && marked(out) { Some(out) } else { None };
-    GroverResult { found, queries: j + 1 }
+    GroverResult { found: oracle.contains(out).then_some(out), queries: j + 1 }
 }
 
 /// BBHT search with *unknown* number of marked items: exponentially growing
@@ -79,10 +84,13 @@ pub fn grover_known_count<F: Fn(usize) -> bool + Sync, R: Rng>(
 /// after the cutoff if nothing was found (so "no marked item" is reported
 /// with one-sided error).
 ///
+/// `marked` must be pure: it is called exactly once per index `i < k`, to
+/// compile the oracle that every restart reuses.
+///
 /// # Panics
 ///
 /// Panics if `k == 0`.
-pub fn grover_search<F: Fn(usize) -> bool + Sync, R: Rng>(
+pub fn grover_search<F: Fn(usize) -> bool, R: Rng>(
     k: usize,
     marked: F,
     rng: &mut R,
@@ -95,16 +103,16 @@ pub fn grover_search<F: Fn(usize) -> bool + Sync, R: Rng>(
     let lambda = 6.0 / 5.0;
     // 9·√N total iterations suffice for failure probability well below 1/3.
     let cutoff = (9.0 * (big_n as f64).sqrt()).ceil() as usize;
+    let oracle = MarkedSet::compile(q, k, marked);
     while queries < cutoff {
         let j = rng.gen_range(0..(m.ceil() as usize).max(1));
-        let mut s = State::zero(q);
-        s.h_all(0..q);
+        let mut s = State::uniform(q, 0..q);
         for _ in 0..j {
-            grover_iterate(&mut s, q, k, &marked);
+            iterate(&mut s, &oracle);
         }
         queries += j + 1;
         let out = s.sample(rng);
-        if out < k && marked(out) {
+        if oracle.contains(out) {
             return GroverResult { found: Some(out), queries };
         }
         m = (m * lambda).min((big_n as f64).sqrt());

@@ -12,21 +12,96 @@
 
 use crate::state::State;
 
+/// The phase oracle `|i⟩ → (−1)^{f(i)}|i⟩` of a boolean `f` on a `q`-qubit
+/// index register, compiled for repeated application.
+///
+/// The oracle of a pure predicate is a fixed diagonal `±1` matrix, so
+/// [`compile`](Self::compile) evaluates the predicate once per index and
+/// keeps only the sorted marked indices (`O(t)` memory for `t` marked,
+/// not a `2^q` table). Applying it negates those amplitudes in every
+/// `2^q` block of the state, with no predicate call; iterative drivers
+/// (Grover, BBHT, amplitude amplification and estimation) compile once
+/// per call and apply the result on every iteration.
+#[derive(Debug, Clone)]
+pub struct MarkedSet {
+    q: usize,
+    marked: Vec<usize>,
+}
+
+impl MarkedSet {
+    /// Evaluate `marked(i)` exactly once for each index `i < k` of the
+    /// `2^q` register; padding indices `k ≤ i < 2^q` are never marked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `2^q` overflows `usize`.
+    pub fn compile<F: Fn(usize) -> bool>(q: usize, k: usize, marked: F) -> Self {
+        assert!(q < usize::BITS as usize, "index register too wide");
+        MarkedSet { q, marked: (0..k.min(1 << q)).filter(|&i| marked(i)).collect() }
+    }
+
+    /// Width of the index register.
+    pub(crate) fn qubits(&self) -> usize {
+        self.q
+    }
+
+    /// Whether index `i` is marked (a binary search, no predicate call).
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.marked.binary_search(&i).is_ok()
+    }
+
+    /// Apply the oracle to the `q` low-order qubits of `state`: negate the
+    /// amplitude of every basis state whose low `q` bits are a marked
+    /// index. Higher (ancilla) bits are ignored but preserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` exceeds the state's qubit count.
+    pub fn apply(&self, state: &mut State) {
+        self.apply_controlled(state, 0, 0);
+    }
+
+    /// Apply the oracle to the index register on qubits
+    /// `offset..offset + q`, only where every bit of `ctrl_mask` is 1.
+    /// [`apply`](Self::apply) is the `offset = 0`, no-control case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register exceeds the state, or `ctrl_mask` addresses
+    /// qubits outside the state or inside the register.
+    pub(crate) fn apply_controlled(&self, state: &mut State, ctrl_mask: usize, offset: usize) {
+        let n = state.num_qubits();
+        assert!(offset + self.q <= n, "register exceeds the state");
+        let low = (1usize << offset) - 1;
+        assert!(ctrl_mask >> n == 0, "control out of range");
+        assert!(ctrl_mask & (((1usize << self.q) - 1) << offset) == 0, "control inside register");
+        let amps = state.amplitudes_mut();
+        // `rest` enumerates the bits outside the register; each value is
+        // one copy of the register's 2^q block.
+        for rest in 0..1usize << (n - self.q) {
+            let base = (rest & low) | ((rest & !low) << self.q);
+            if base & ctrl_mask != ctrl_mask {
+                continue;
+            }
+            for &i in &self.marked {
+                let a = &mut amps[base | (i << offset)];
+                *a = -*a;
+            }
+        }
+    }
+}
+
 /// Apply the phase oracle of the boolean function `marked` to the `q`
 /// low-order qubits of `state`: basis states `|i⟩` with `i < k` and
 /// `marked(i)` get a `−1` phase. Higher (ancilla/padding) bits are ignored
-/// for the predicate but preserved.
+/// for the predicate but preserved. Compiles a [`MarkedSet`] and applies
+/// it once; `marked` is called once for each `i < k`.
 ///
 /// # Panics
 ///
 /// Panics if `q` exceeds the state's qubit count.
-pub fn phase_oracle<F: Fn(usize) -> bool + Sync>(state: &mut State, q: usize, k: usize, marked: F) {
-    assert!(q <= state.num_qubits());
-    let mask = (1usize << q) - 1;
-    state.phase_flip_where(|x| {
-        let i = x & mask;
-        i < k && marked(i)
-    });
+pub fn phase_oracle<F: Fn(usize) -> bool>(state: &mut State, q: usize, k: usize, marked: F) {
+    MarkedSet::compile(q, k, marked).apply(state);
 }
 
 /// Apply the XOR oracle of the data table `values`: with the index register
@@ -74,6 +149,20 @@ mod tests {
         assert_eq!(index_qubits(4), 2);
         assert_eq!(index_qubits(5), 3);
         assert_eq!(index_qubits(1024), 10);
+    }
+
+    #[test]
+    fn compile_marks_only_indices_below_k() {
+        let hits = |o: &MarkedSet| -> Vec<usize> {
+            (0..1 << o.qubits()).filter(|&i| o.contains(i)).collect()
+        };
+        let o = MarkedSet::compile(4, 11, |i| i % 3 == 0);
+        assert_eq!(hits(&o), vec![0, 3, 6, 9]);
+        // Padding indices are never marked, even by an always-true predicate.
+        assert_eq!(hits(&MarkedSet::compile(3, 5, |_| true)), vec![0, 1, 2, 3, 4]);
+        // k beyond the register is clamped to 2^q.
+        assert_eq!(hits(&MarkedSet::compile(2, 100, |_| true)), vec![0, 1, 2, 3]);
+        assert!(hits(&MarkedSet::compile(5, 32, |_| false)).is_empty());
     }
 
     #[test]

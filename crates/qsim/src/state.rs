@@ -49,6 +49,28 @@ impl State {
         State { n, amps }
     }
 
+    /// `H^{⊗qs}|0…0⟩` on `n` qubits: the uniform superposition over the
+    /// qubits in `qs`, all others `|0⟩`. Built in one pass rather than
+    /// `qs.len()` strided Hadamard passes, and bit-identical to
+    /// `State::zero(n)` followed by `h_all(qs)`: each Hadamard multiplies
+    /// the surviving amplitude by `1/√2` (its other terms are exact
+    /// zeros), so the amplitude is that factor applied `qs.len()` times in
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range (see [`basis`](Self::basis)) or `qs`
+    /// is not a range of qubits of the state.
+    pub fn uniform(n: usize, qs: std::ops::Range<usize>) -> Self {
+        let mut s = Self::zero(n);
+        assert!(qs.start <= qs.end && qs.end <= n, "qubit range out of bounds");
+        let amp = qs.clone().fold(1.0, |a, _| std::f64::consts::FRAC_1_SQRT_2 * a);
+        for i in 0..1usize << qs.len() {
+            s.amps[i << qs.start] = c64(amp, 0.0);
+        }
+        s
+    }
+
     /// A state from raw amplitudes (must be normalized).
     ///
     /// # Panics
@@ -78,6 +100,12 @@ impl State {
     /// All amplitudes.
     pub fn amplitudes(&self) -> &[C64] {
         &self.amps
+    }
+
+    /// Mutable amplitudes, for in-crate operators that are not gates
+    /// (unitarity is the caller's obligation).
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [C64] {
+        &mut self.amps
     }
 
     /// `Σ|αᵢ|²` (should always be 1 up to rounding).
