@@ -10,6 +10,9 @@
 //!   single-threaded strided+fusion win);
 //! * `fast_mt/*` — same with the automatic thread policy (engages only for
 //!   n ≥ 18 on multi-core hosts; identical to `fast` on one core);
+//! * `qsim_qft/round_trip/n20` — a fused QFT then inverse QFT on a dense
+//!   20-qubit state at thread cap 1 (`round_trip_mt/n20`: automatic thread
+//!   policy), the phase-estimation readout end to end, swaps included;
 //! * `qsim_grover_search/known_count/n18` — a whole `grover_known_count`
 //!   search at thread cap 1 with a binary-search oracle over 64 sorted
 //!   marked indices, so the oracle's cost shows (the `i == target` cells
@@ -25,7 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsim::complex::C64;
 use qsim::grover::{grover_iterate, grover_known_count};
 use qsim::kernels::set_thread_cap;
-use qsim::qft::iqft_circuit;
+use qsim::qft::{iqft_circuit, qft_circuit};
 use qsim::reference;
 use qsim::state::State;
 use rand::rngs::StdRng;
@@ -124,6 +127,33 @@ fn bench_iqft(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_qft_round_trip(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qsim_qft");
+    group.sample_size(10);
+    let n = 20;
+    let qubits: Vec<usize> = (0..n).collect();
+    let qft = qft_circuit(&qubits).fuse();
+    let iqft = iqft_circuit(&qubits).fuse();
+    // A dense state: a Hadamard layer and a phase per qubit, so no
+    // amplitude is zero and every pass does full work.
+    let mut dense = uniform_state(n);
+    for q in 0..n {
+        dense.phase(q, 0.1 + 0.37 * q as f64);
+    }
+    for (name, cap) in [("round_trip", 1), ("round_trip_mt", usize::MAX)] {
+        set_thread_cap(cap);
+        let mut s = dense.clone();
+        group.bench_with_input(BenchmarkId::new(name, format!("n{n}")), &n, |b, _| {
+            b.iter(|| {
+                qft.apply(&mut s);
+                iqft.apply(&mut s);
+            })
+        });
+    }
+    set_thread_cap(usize::MAX);
+    group.finish();
+}
+
 fn bench_grover_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("qsim_grover_search");
     group.sample_size(10);
@@ -148,5 +178,11 @@ fn bench_grover_search(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_grover_iteration, bench_iqft, bench_grover_search);
+criterion_group!(
+    benches,
+    bench_grover_iteration,
+    bench_iqft,
+    bench_qft_round_trip,
+    bench_grover_search
+);
 criterion_main!(benches);

@@ -4,10 +4,11 @@
 //! powers of a whole algorithm, not of a single gate).
 
 use crate::complex::{c64, C64};
-use crate::kernels::DiagTerm;
+use crate::kernels::{self, DiagTerm};
 use crate::metrics;
 use crate::state::State;
 use std::f64::consts::FRAC_1_SQRT_2;
+use std::ops::Range;
 
 /// An elementary gate.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,20 +196,33 @@ impl Circuit {
     }
 
     /// Fuse the tape: adjacent single-qubit gates on the same qubit
-    /// collapse into one 2×2 matrix, and runs of diagonal gates
+    /// collapse into one 2×2 matrix, runs of diagonal gates
     /// (`Z`/`Phase`/`CPhase`/`Mcz`/`GlobalPhase`) collapse into a single
-    /// diagonal sweep — so applying a fused QFT/QPE tape makes one
-    /// amplitude pass per fused group instead of one per gate.
+    /// diagonal sweep, and `Cnot(a,b) Cnot(b,a) Cnot(a,b)` swap triples
+    /// collapse into one [`FusedOp::Swap`] group per run of disjoint swaps.
+    ///
+    /// Fusing also plans the execution: maximal runs of diagonal sweeps and
+    /// uncontrolled matrices are grouped into cache-tiled stages (see
+    /// [`FusedCircuit::apply`]), so a fused QFT/QPE tape makes a handful of
+    /// amplitude passes instead of one per gate.
     pub fn fuse(&self) -> FusedCircuit {
         let mut out: Vec<FusedOp> = Vec::new();
         let mut pending = Pending::None;
-        for op in &self.ops {
-            pending = pending.absorb(op, &mut out);
+        let mut rest = &self.ops[..];
+        while let Some(op) = rest.first() {
+            if let Some(pair) = swap_triple(rest) {
+                pending = pending.absorb_swap(pair, &mut out);
+                rest = &rest[3..];
+            } else {
+                pending = pending.absorb(op, &mut out);
+                rest = &rest[1..];
+            }
         }
         pending.flush(&mut out);
         metrics::bump(metrics::Counter::FuseGatesIn, self.ops.len() as u64);
         metrics::bump(metrics::Counter::FuseGroups, out.len() as u64);
-        FusedCircuit { n: self.n, ops: out }
+        let plan = plan_stages(&out);
+        FusedCircuit { n: self.n, ops: out, plan }
     }
 
     /// Apply the tape through the fused representation — one
@@ -289,14 +303,67 @@ pub enum FusedOp {
     },
     /// A fused run of diagonal gates, applied in one amplitude sweep.
     Diagonal(Vec<DiagTerm>),
+    /// A run of qubit swaps on pairwise disjoint pairs, applied as one
+    /// in-place permutation pass (see [`kernels::apply_swaps`]).
+    Swap(Vec<(usize, usize)>),
 }
 
-/// A fused gate tape: each entry costs one pass over the statevector (or
-/// a strided fraction of one), however many [`Op`]s it absorbed.
+/// One amplitude pass of a fused tape's execution plan.
+#[derive(Debug, Clone, PartialEq)]
+enum Stage {
+    /// The groups `ops[groups]` — diagonal sweeps and uncontrolled
+    /// matrices — run tile by tile; `high` holds the ascending targets of
+    /// at least `TILE_LOW_BITS` the tiles must span.
+    Tiled { groups: Range<usize>, high: Vec<usize> },
+    /// The group `ops[i]` (a controlled matrix or a swap) as one
+    /// whole-state pass.
+    Whole(usize),
+}
+
+/// Split fused groups into stages: a controlled matrix or a swap is a
+/// stage of its own; every other group joins the open tiled stage unless
+/// its high target would make the tile span more than
+/// [`kernels::TILE_MAX_HIGH`] high qubits, which starts a new one.
+fn plan_stages(ops: &[FusedOp]) -> Vec<Stage> {
+    let mut plan = Vec::new();
+    let mut open: Option<(usize, Vec<usize>)> = None;
+    for (i, op) in ops.iter().enumerate() {
+        let high_target = match op {
+            FusedOp::Matrix { ctrl_mask: 0, q, .. } => {
+                Some(*q).filter(|&q| kernels::is_high_target(q))
+            }
+            FusedOp::Diagonal(_) => None,
+            FusedOp::Matrix { .. } | FusedOp::Swap(_) => {
+                if let Some((start, high)) = open.take() {
+                    plan.push(Stage::Tiled { groups: start..i, high });
+                }
+                plan.push(Stage::Whole(i));
+                continue;
+            }
+        };
+        let (start, high) = open.get_or_insert_with(|| (i, Vec::new()));
+        if let Some(q) = high_target.filter(|q| !high.contains(q)) {
+            if high.len() == kernels::TILE_MAX_HIGH {
+                plan.push(Stage::Tiled { groups: *start..i, high: std::mem::take(high) });
+                *start = i;
+            }
+            high.push(q);
+            high.sort_unstable();
+        }
+    }
+    if let Some((start, high)) = open {
+        plan.push(Stage::Tiled { groups: start..ops.len(), high });
+    }
+    plan
+}
+
+/// A fused gate tape: its groups (see [`Circuit::fuse`]) and the stage
+/// plan that runs them, computed once by `fuse`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedCircuit {
     n: usize,
     ops: Vec<FusedOp>,
+    plan: Vec<Stage>,
 }
 
 impl FusedCircuit {
@@ -320,26 +387,77 @@ impl FusedCircuit {
         self.ops.is_empty()
     }
 
-    /// Apply the fused tape to `state`.
+    /// Apply the fused tape to `state`, with the kernels' automatic thread
+    /// count ([`kernels::auto_threads`]).
+    ///
+    /// The stage plan makes one amplitude pass per stage, not per group:
+    /// each run of diagonal sweeps and uncontrolled matrices runs tile by
+    /// tile over cache-sized tiles of up to `2^{12 + 2}` amplitudes, and each
+    /// controlled matrix or swap group is one whole-state pass. Every
+    /// amplitude sees the same arithmetic, in the same order, as applying
+    /// the groups one whole-state pass at a time.
     ///
     /// # Panics
     ///
     /// Panics if `state` has fewer qubits than the circuit.
     pub fn apply(&self, state: &mut State) {
+        self.apply_with_threads(state, kernels::auto_threads(state.num_qubits()));
+    }
+
+    /// [`apply`](Self::apply) on an explicit number of worker threads. The
+    /// result is bit-identical for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` has fewer qubits than the circuit.
+    pub fn apply_with_threads(&self, state: &mut State, threads: usize) {
         assert!(state.num_qubits() >= self.n, "state too small for circuit");
-        for op in &self.ops {
-            match op {
-                FusedOp::Matrix { ctrl_mask, q, m } => {
-                    metrics::bump(metrics::Counter::MatrixApplies, 1);
-                    state.apply_masked_1q(*ctrl_mask, *q, *m);
+        let amps = state.amplitudes_mut();
+        for stage in &self.plan {
+            match stage {
+                Stage::Tiled { groups, high } => {
+                    let groups = &self.ops[groups.clone()];
+                    groups.iter().for_each(count_group);
+                    kernels::apply_tiled(amps, groups, high, threads);
                 }
-                FusedOp::Diagonal(terms) => {
-                    metrics::bump(metrics::Counter::DiagSweeps, 1);
-                    metrics::bump(metrics::Counter::DiagTerms, terms.len() as u64);
-                    state.apply_diag_terms(terms);
+                Stage::Whole(i) => {
+                    let op = &self.ops[*i];
+                    count_group(op);
+                    match op {
+                        FusedOp::Matrix { ctrl_mask, q, m } => {
+                            kernels::apply_controlled_1q(amps, *ctrl_mask, *q, *m, threads)
+                        }
+                        FusedOp::Swap(pairs) => kernels::apply_swaps(amps, pairs, threads),
+                        FusedOp::Diagonal(_) => unreachable!("diagonal sweeps are tiled"),
+                    }
                 }
             }
         }
+    }
+}
+
+/// Tally one applied group in the per-group counters.
+fn count_group(op: &FusedOp) {
+    match op {
+        FusedOp::Matrix { .. } => metrics::bump(metrics::Counter::MatrixApplies, 1),
+        FusedOp::Diagonal(terms) => {
+            metrics::bump(metrics::Counter::DiagSweeps, 1);
+            metrics::bump(metrics::Counter::DiagTerms, terms.len() as u64);
+        }
+        FusedOp::Swap(_) => {}
+    }
+}
+
+/// The qubit pair of a `Cnot(a,b) Cnot(b,a) Cnot(a,b)` swap at the head of
+/// `ops`.
+fn swap_triple(ops: &[Op]) -> Option<(usize, usize)> {
+    match ops {
+        [Op::Cnot(a, b), Op::Cnot(c, d), Op::Cnot(e, f), ..]
+            if a != b && (a, b) == (d, c) && (a, b) == (e, f) =>
+        {
+            Some((*a, *b))
+        }
+        _ => None,
     }
 }
 
@@ -367,6 +485,7 @@ enum Pending {
     None,
     Matrix { q: usize, m: [[C64; 2]; 2] },
     Diag(Vec<DiagTerm>),
+    Swap(Vec<(usize, usize)>),
 }
 
 impl Pending {
@@ -375,6 +494,24 @@ impl Pending {
             Pending::None => {}
             Pending::Matrix { q, m } => out.push(FusedOp::Matrix { ctrl_mask: 0, q, m }),
             Pending::Diag(terms) => out.push(FusedOp::Diagonal(terms)),
+            Pending::Swap(pairs) => out.push(FusedOp::Swap(pairs)),
+        }
+    }
+
+    /// A swap: extend a pending swap group if the pair is disjoint from
+    /// it, else start a new group.
+    fn absorb_swap(self, (a, b): (usize, usize), out: &mut Vec<FusedOp>) -> Pending {
+        match self {
+            Pending::Swap(mut pairs)
+                if pairs.iter().all(|&(c, d)| ![c, d].contains(&a) && ![c, d].contains(&b)) =>
+            {
+                pairs.push((a, b));
+                Pending::Swap(pairs)
+            }
+            other => {
+                other.flush(out);
+                Pending::Swap(vec![(a, b)])
+            }
         }
     }
 
@@ -603,6 +740,81 @@ mod tests {
         let mut s = State::basis(2, 2);
         fused.apply(&mut s);
         assert!((s.probability(2) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn swap_triples_fold_into_one_group() {
+        // Three disjoint swaps → one group; the pair order is kept.
+        let mut c = Circuit::new(6);
+        for (a, b) in [(0, 5), (1, 4), (2, 3)] {
+            c.cnot(a, b).cnot(b, a).cnot(a, b);
+        }
+        let fused = c.fuse();
+        assert_eq!(fused.ops(), &[FusedOp::Swap(vec![(0, 5), (1, 4), (2, 3)])]);
+        assert_eq!(fused.plan, vec![Stage::Whole(0)]);
+    }
+
+    #[test]
+    fn lone_cnot_pair_stays_two_matrices() {
+        let mut c = Circuit::new(3);
+        c.cnot(0, 2).cnot(2, 0).h(1);
+        let fused = c.fuse();
+        assert_eq!(fused.len(), 3, "{:?}", fused.ops());
+        assert!(matches!(fused.ops()[0], FusedOp::Matrix { ctrl_mask: 0b001, q: 2, .. }));
+        assert!(matches!(fused.ops()[1], FusedOp::Matrix { ctrl_mask: 0b100, q: 0, .. }));
+        // A triple whose third CNOT differs is not a swap either.
+        let mut c = Circuit::new(3);
+        c.cnot(0, 2).cnot(2, 0).cnot(2, 0);
+        assert!(c.fuse().ops().iter().all(|op| matches!(op, FusedOp::Matrix { .. })));
+    }
+
+    #[test]
+    fn overlapping_swap_starts_a_new_group() {
+        let mut c = Circuit::new(4);
+        for (a, b) in [(0, 1), (2, 3), (1, 2)] {
+            c.cnot(a, b).cnot(b, a).cnot(a, b);
+        }
+        let fused = c.fuse();
+        assert_eq!(
+            fused.ops(),
+            &[FusedOp::Swap(vec![(0, 1), (2, 3)]), FusedOp::Swap(vec![(1, 2)])]
+        );
+        for basis in 0..16 {
+            let mut plain = State::basis(4, basis);
+            c.apply(&mut plain);
+            let mut tiled = State::basis(4, basis);
+            fused.apply(&mut tiled);
+            assert_eq!(plain, tiled, "basis {basis}");
+        }
+    }
+
+    #[test]
+    fn plan_tiles_runs_and_isolates_whole_state_groups() {
+        // H on two high qubits share a tile; a third high target starts a
+        // new stage; a controlled matrix is a whole-state pass of its own.
+        let mut c = Circuit::new(16);
+        c.h(12).phase(0, 0.3).cphase(3, 14, 0.2).h(14).h(1).h(15).cnot(0, 1).h(2);
+        let fused = c.fuse();
+        assert_eq!(fused.len(), 7, "{:?}", fused.ops());
+        assert_eq!(
+            fused.plan,
+            vec![
+                Stage::Tiled { groups: 0..4, high: vec![12, 14] },
+                Stage::Tiled { groups: 4..5, high: vec![15] },
+                Stage::Whole(5),
+                Stage::Tiled { groups: 6..7, high: vec![] },
+            ]
+        );
+    }
+
+    #[test]
+    fn qft_20_plan_makes_five_passes() {
+        let qubits: Vec<usize> = (0..20).collect();
+        for c in [crate::qft::qft_circuit(&qubits), crate::qft::iqft_circuit(&qubits)] {
+            let fused = c.fuse();
+            assert_eq!(fused.len(), 20 + 19 + 1);
+            assert_eq!(fused.plan.len(), 5, "{:?}", fused.plan);
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! [`PARALLEL_QUBIT_THRESHOLD`] qubits on hosts with more than one core;
 //! below that the per-gate thread fan-out costs more than the scan.
 
+use crate::circuit::FusedOp;
 use crate::complex::C64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -96,12 +97,25 @@ fn pair_update(a: &mut C64, b: &mut C64, m: &[[C64; 2]; 2]) {
 }
 
 /// Sequential strided single-qubit kernel on a block-aligned slice.
+///
+/// Kept out of line: inlined into the tile loop of `run_tile`, the same
+/// loop ran about half as fast.
+#[inline(never)]
 fn apply_1q_seq(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2]) {
     for chunk in amps.chunks_exact_mut(bit << 1) {
         let (lo, hi) = chunk.split_at_mut(bit);
         for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
             pair_update(a, b, m);
         }
+    }
+}
+
+/// Sequential single-qubit kernel on the two halves of a high-target pair:
+/// pair `o` is `(lo[o], hi[o])`. Out of line like [`apply_1q_seq`].
+#[inline(never)]
+fn apply_1q_pair(lo: &mut [C64], hi: &mut [C64], m: &[[C64; 2]; 2]) {
+    for (a, b) in lo.iter_mut().zip(hi) {
+        pair_update(a, b, m);
     }
 }
 
@@ -140,11 +154,7 @@ pub fn apply_1q(amps: &mut [C64], q: usize, m: [[C64; 2]; 2], threads: usize) {
             let per = bit.div_ceil(threads);
             std::thread::scope(|s| {
                 for (lc, hc) in lo.chunks_mut(per).zip(hi.chunks_mut(per)) {
-                    s.spawn(move || {
-                        for (a, b) in lc.iter_mut().zip(hc.iter_mut()) {
-                            pair_update(a, b, &m);
-                        }
-                    });
+                    s.spawn(move || apply_1q_pair(lc, hc, &m));
                 }
             });
         }
@@ -164,13 +174,24 @@ fn expand(mut c: usize, fixed: &[usize]) -> usize {
 
 /// A raw amplitude pointer shared across scoped workers.
 ///
-/// Soundness rests on the kernels' index discipline: every compressed
-/// counter value maps (via [`expand`]) to a distinct `(i, i | bit)` pair,
-/// and distinct counters yield disjoint pairs, so workers handed disjoint
-/// counter ranges never touch the same amplitude.
+/// Soundness rests on the kernels' index discipline: workers get disjoint
+/// ranges of work items, and distinct work items touch disjoint amplitudes.
+/// A controlled gate's compressed counter maps (via [`expand`]) to a
+/// distinct `(i, i | bit)` pair, a tile index to a distinct set of blocks,
+/// and a swap is made only from the smaller index of its pair.
 struct AmpsPtr(*mut C64);
+// SAFETY: the only field is the pointer; `C64` is plain `Copy` data, and
+// the index discipline above keeps threads on disjoint amplitudes.
 unsafe impl Send for AmpsPtr {}
+// SAFETY: as for `Send`; shared access only hands out the pointer value.
 unsafe impl Sync for AmpsPtr {}
+
+impl AmpsPtr {
+    /// The base pointer (a method, so closures capture the whole wrapper).
+    fn get(&self) -> *mut C64 {
+        self.0
+    }
+}
 
 /// Apply a single-qubit unitary to qubit `q`, conditioned on every bit of
 /// `ctrl_mask` being 1. `ctrl_mask == 0` reduces to [`apply_1q`].
@@ -257,9 +278,28 @@ pub fn apply_controlled_1q(
     });
 }
 
-/// Amplitudes per block in the blocked diagonal sweep: 2^12 · 16 B = 64 KiB,
-/// small enough to stay L1/L2-resident while the term filter runs.
+/// Amplitudes per block in the blocked diagonal sweep: 2^12 · 16 B = 64 KiB.
+/// That is larger than a typical 32–48 KiB L1d, so a block is L2-resident
+/// rather than L1-resident while its terms run.
+///
+/// The block size is part of the result, not just of the schedule: terms
+/// are classified and merged per block, and merging multiplies factors
+/// together before they reach an amplitude. Changing this constant changes
+/// result bits.
 const DIAG_BLOCK: usize = 1 << 12;
+
+/// Index bits every tile spans: the bits of one [`DIAG_BLOCK`].
+const TILE_LOW_BITS: usize = DIAG_BLOCK.trailing_zeros() as usize;
+
+/// Most high target qubits (`q ≥ TILE_LOW_BITS`) one tile may add. A tile
+/// is `2^{12 + 2}` amplitudes (256 KiB), which stays L2-resident while a
+/// stage's groups run over it.
+pub(crate) const TILE_MAX_HIGH: usize = 2;
+
+/// Whether an uncontrolled matrix on qubit `q` needs a tile's high bits.
+pub(crate) fn is_high_target(q: usize) -> bool {
+    q >= TILE_LOW_BITS
+}
 
 /// One contiguous run of whole blocks. For each block the high bits of the
 /// index are constant, so every term is classified once per block instead of
@@ -267,12 +307,18 @@ const DIAG_BLOCK: usize = 1 << 12;
 /// terms whose mask lies entirely in the high bits collapse to a scalar
 /// prefactor, and terms that reduce to the same block-local low mask merge
 /// into one. Blocks no term touches are skipped without reading their
-/// amplitudes; each surviving term is then a branch-free strided multiply
-/// over the L1-resident block — only the `block_len / 2^{popcount}`
-/// amplitudes its mask selects are visited.
-fn diag_sweep_run(run: &mut [C64], run_base: usize, terms: &[DiagTerm], block_len: usize) {
+/// amplitudes. Each surviving term then multiplies the contiguous runs of
+/// `2^{tz(mask)}` amplitudes its mask selects — only the
+/// `block_len / 2^{popcount}` amplitudes it fires on are visited. `active` is
+/// scratch space for the per-block term list.
+fn diag_sweep_run(
+    run: &mut [C64],
+    run_base: usize,
+    terms: &[DiagTerm],
+    block_len: usize,
+    active: &mut Vec<DiagTerm>,
+) {
     let low = block_len - 1;
-    let mut active: Vec<DiagTerm> = Vec::with_capacity(terms.len());
     for (bi, block) in run.chunks_mut(block_len).enumerate() {
         let base = run_base + bi * block_len;
         active.clear();
@@ -299,15 +345,18 @@ fn diag_sweep_run(run: &mut [C64], run_base: usize, terms: &[DiagTerm], block_le
             }
         }
         for t in active.iter() {
-            // Enumerate the patterns of the mask's complement in ascending
-            // order with the O(1) subset-increment; `c | mask` walks exactly
-            // the amplitudes the term fires on, no per-index test.
-            let free = low & !t.mask;
+            // The mask's lowest set bit is above a contiguous run of free
+            // bits, so the term fires on runs of `2^{tz}` neighbours.
+            // Enumerate the run starts — the patterns of the remaining free
+            // bits — in ascending order with the O(1) subset-increment.
+            let len = 1usize << t.mask.trailing_zeros();
+            let free = low & !t.mask & !(len - 1);
             let f = t.factor;
             let mut c = 0usize;
             loop {
-                let a = &mut block[c | t.mask];
-                *a = *a * f;
+                for a in &mut block[c | t.mask..][..len] {
+                    *a = *a * f;
+                }
                 if c == free {
                     break;
                 }
@@ -335,13 +384,180 @@ pub fn apply_diag(amps: &mut [C64], terms: &[DiagTerm], threads: usize) {
     crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
     crate::metrics::bump(crate::metrics::Counter::DiagBlocks, blocks as u64);
     if threads == 1 {
-        diag_sweep_run(amps, 0, terms, block_len);
+        diag_sweep_run(amps, 0, terms, block_len, &mut Vec::new());
         return;
     }
     let per = blocks.div_ceil(threads) * block_len;
     std::thread::scope(|s| {
         for (t, run) in amps.chunks_mut(per).enumerate() {
-            s.spawn(move || diag_sweep_run(run, t * per, terms, block_len));
+            s.spawn(move || diag_sweep_run(run, t * per, terms, block_len, &mut Vec::new()));
+        }
+    });
+}
+
+/// Run a stage of fused groups — diagonal sweeps and *uncontrolled*
+/// matrices — tile by tile, in one pass over the state.
+///
+/// A tile is the `2^{|high|}` [`DIAG_BLOCK`]-aligned blocks that share every
+/// index bit outside the low block bits and the `high` target qubits
+/// (ascending, at most [`TILE_MAX_HIGH`], each `≥ TILE_LOW_BITS`). Every
+/// group touches only amplitudes inside one tile: a low-target matrix pairs
+/// amplitudes inside one block, a high-target matrix pairs two blocks of the
+/// tile element by element, and a diagonal sweep runs [`diag_sweep_run`] on
+/// each block with its true base index. So every amplitude sees the groups
+/// in tape order with exactly the arithmetic of one whole-state pass per
+/// group, and the result is bit-identical to that, while the tile stays
+/// cache-resident across the stage. Workers take contiguous ranges of
+/// tiles, so the result is also bit-identical for every thread count.
+///
+/// # Panics
+///
+/// Panics if a group is a controlled matrix or a swap, or a high target is
+/// missing from `high`.
+pub(crate) fn apply_tiled(amps: &mut [C64], groups: &[FusedOp], high: &[usize], threads: usize) {
+    let n = amps.len().trailing_zeros() as usize;
+    assert!(
+        high.len() <= TILE_MAX_HIGH
+            && high.windows(2).all(|w| w[0] < w[1])
+            && high.iter().all(|&q| is_high_target(q) && q < n),
+        "tile high qubits must be ascending, in range and above the block bits"
+    );
+    let block_len = DIAG_BLOCK.min(amps.len());
+    let tiles = amps.len() / (block_len << high.len());
+    let threads = threads.max(1).min(tiles);
+    crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
+    crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
+    let sweeps = groups.iter().filter(|g| matches!(g, FusedOp::Diagonal(_))).count();
+    let blocks = amps.len() / block_len;
+    crate::metrics::bump(crate::metrics::Counter::DiagBlocks, (sweeps * blocks) as u64);
+    let ptr = AmpsPtr(amps.as_mut_ptr());
+    for_ranges(tiles, threads, |tiles| {
+        let mut active = Vec::new();
+        for t in tiles {
+            // SAFETY: distinct tiles cover disjoint block sets (`expand`
+            // is injective and leaves the low and high bits clear), and each
+            // tile is handled by exactly one worker.
+            unsafe {
+                run_tile(
+                    &ptr,
+                    expand(t << TILE_LOW_BITS, high),
+                    block_len,
+                    groups,
+                    high,
+                    &mut active,
+                )
+            };
+        }
+    });
+}
+
+/// Run `work` over `0..count` split into one contiguous range per worker.
+fn for_ranges<F: Fn(std::ops::Range<usize>) + Sync>(count: usize, threads: usize, work: F) {
+    if threads <= 1 {
+        work(0..count);
+        return;
+    }
+    let per = count.div_ceil(threads);
+    std::thread::scope(|s| {
+        for w in 0..threads {
+            let work = &work;
+            s.spawn(move || work(w * per..((w + 1) * per).min(count)));
+        }
+    });
+}
+
+/// Apply every group to the tile whose first block starts at `base`.
+///
+/// # Safety
+///
+/// The tile's blocks must be inside the state behind `ptr`, and no other
+/// thread may touch them during the call.
+unsafe fn run_tile(
+    ptr: &AmpsPtr,
+    base: usize,
+    block_len: usize,
+    groups: &[FusedOp],
+    high: &[usize],
+    active: &mut Vec<DiagTerm>,
+) {
+    // Block `s` of the tile sets the high qubits picked by the bits of `s`.
+    let block_base =
+        |s: usize| high.iter().enumerate().fold(base, |b, (j, &q)| b | ((s >> j & 1) << q));
+    // SAFETY: the caller owns the tile; callers never hold two slices of
+    // the same block at once.
+    let block = |s: usize| unsafe {
+        std::slice::from_raw_parts_mut(ptr.get().add(block_base(s)), block_len)
+    };
+    let blocks = 1usize << high.len();
+    for g in groups {
+        match g {
+            &FusedOp::Matrix { ctrl_mask: 0, q, m } if !is_high_target(q) => {
+                for s in 0..blocks {
+                    apply_1q_seq(block(s), 1 << q, &m);
+                }
+            }
+            &FusedOp::Matrix { ctrl_mask: 0, q, m } => {
+                let j = high.iter().position(|&h| h == q).expect("high target not in the tile");
+                for s in (0..blocks).filter(|s| s >> j & 1 == 0) {
+                    apply_1q_pair(block(s), block(s | 1 << j), &m);
+                }
+            }
+            FusedOp::Diagonal(terms) => {
+                for s in 0..blocks {
+                    diag_sweep_run(block(s), block_base(s), terms, block_len, active);
+                }
+            }
+            _ => panic!("controlled matrices and swaps are whole-state passes"),
+        }
+    }
+}
+
+/// Swap each qubit pair in `pairs` (pairwise disjoint) in one in-place
+/// pass. The pairs permute index bits, so the permutation splits over a
+/// low/high cut of the index: `y = lo[x & m] | hi[x >> h]` with two tables
+/// of about `2^{n/2}` entries. The permutation is an involution, so the
+/// amplitudes at `x` and `y` are exchanged once, by the worker owning the
+/// smaller index. Workers take contiguous index ranges, and values move
+/// unchanged, so the result is identical for every thread count.
+///
+/// # Panics
+///
+/// Panics if a qubit is out of range or appears in two pairs.
+pub fn apply_swaps(amps: &mut [C64], pairs: &[(usize, usize)], threads: usize) {
+    let n = amps.len().trailing_zeros() as usize;
+    let mut used = 0usize;
+    for &(a, b) in pairs {
+        assert!(a < n && b < n, "swap qubit out of range");
+        let bits = (1usize << a) | (1usize << b);
+        assert!(a != b && used & bits == 0, "swap pairs must be disjoint");
+        used |= bits;
+    }
+    let permute = |x: usize| {
+        pairs.iter().fold(x, |y, &(a, b)| {
+            let d = ((x >> a) ^ (x >> b)) & 1;
+            y ^ ((d << a) | (d << b))
+        })
+    };
+    let h = n / 2;
+    let lo: Vec<usize> = (0..1usize << h).map(permute).collect();
+    let hi: Vec<usize> = (0..1usize << (n - h)).map(|x| permute(x << h)).collect();
+    let threads = threads.max(1).min(hi.len());
+    crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
+    crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
+    let ptr = AmpsPtr(amps.as_mut_ptr());
+    for_ranges(hi.len(), threads, |rows| {
+        for xh in rows {
+            let yh = hi[xh];
+            for (xl, &yl) in lo.iter().enumerate() {
+                let x = xh << h | xl;
+                let y = yl | yh;
+                if y > x {
+                    // SAFETY: `x, y < 2^n`; the permutation is an
+                    // involution, so the pair {x, y} is visited only from
+                    // its smaller index, by one worker.
+                    unsafe { std::ptr::swap(ptr.get().add(x), ptr.get().add(y)) };
+                }
+            }
         }
     });
 }

@@ -39,16 +39,23 @@ pub enum Counter {
     /// Fused groups produced by `fuse` (≤ gates in; the ratio is the
     /// fusion win).
     FuseGroups,
-    /// Fused 2×2-matrix passes applied to a statevector.
+    /// Fused 2×2-matrix groups applied to a statevector. This counts
+    /// groups, not passes: a fused tape runs several groups per tiled pass
+    /// (see [`KernelLaunches`](Self::KernelLaunches)). Swap groups are not
+    /// matrices and are not counted here.
     MatrixApplies,
-    /// Fused diagonal sweeps applied.
+    /// Fused diagonal-sweep groups applied (groups, not passes, as for
+    /// [`MatrixApplies`](Self::MatrixApplies)).
     DiagSweeps,
     /// Diagonal terms across those sweeps (terms per sweep = fusion
     /// depth).
     DiagTerms,
-    /// Blocks processed by the blocked diagonal kernel.
+    /// Blocks processed by the blocked diagonal kernel, summed over the
+    /// diagonal groups.
     DiagBlocks,
-    /// Kernel entry points taken (1q, masked 1q, diagonal).
+    /// Amplitude passes: kernel entry points taken (1q, masked 1q,
+    /// diagonal, swap, and one per tiled stage of a fused tape, however
+    /// many groups the stage runs).
     KernelLaunches,
     /// Worker threads summed over those launches; divide by
     /// `KernelLaunches` for mean utilization.

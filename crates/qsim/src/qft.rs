@@ -2,8 +2,13 @@
 //!
 //! The transforms are built as [`Circuit`] tapes and applied through the
 //! gate-fusion pass ([`Circuit::fuse`]): each Hadamard's trailing run of
-//! controlled phases collapses into a single diagonal sweep, so an
-//! `n`-qubit QFT costs `O(n)` amplitude passes instead of `O(n²)`.
+//! controlled phases collapses into a single diagonal sweep, and the
+//! bit-reversal swaps collapse into one swap group. The fused tape runs as
+//! a stage plan (see [`FusedCircuit::apply`](crate::circuit::FusedCircuit::apply)):
+//! the Hadamards and sweeps run tile by tile, one pass per two high qubits
+//! (qubits `≥ 12`, at least one pass), and the swaps take one more. A QFT
+//! on qubits `0..n` with `n ≥ 2` therefore makes `max(1, ⌈(n − 12)/2⌉) + 1`
+//! amplitude passes, five at `n = 20`, instead of one per gate or group.
 
 use crate::circuit::Circuit;
 use crate::state::State;
@@ -168,9 +173,10 @@ mod tests {
     fn fused_qft_collapses_phase_runs() {
         // 6 qubits: 6 H + 15 CPhase + 9 swap-CNOTs = 30 gates; fused:
         // every H is one matrix, each inter-H phase run is one sweep, and
-        // the 9 trailing CNOTs stay single → 6 + 5 + 9 = 20 groups.
+        // the 3 disjoint swap triples become one swap group → 6 + 5 + 1 =
+        // 12 groups.
         let c = qft_circuit(&[0, 1, 2, 3, 4, 5]);
         assert_eq!(c.len(), 30);
-        assert_eq!(c.fuse().len(), 20);
+        assert_eq!(c.fuse().len(), 12);
     }
 }

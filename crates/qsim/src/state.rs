@@ -152,7 +152,8 @@ impl State {
     }
 
     /// [`apply_controlled_1q`](Self::apply_controlled_1q) with the control
-    /// set given as a bit mask — the form the fused circuit tapes use.
+    /// set given as a bit mask — one fused `Matrix` group as a whole-state
+    /// pass.
     ///
     /// # Panics
     ///
@@ -362,14 +363,18 @@ impl State {
         self.apply_controlled_1q(controls, t, [[C64::ONE, C64::ZERO], [C64::ZERO, -C64::ONE]]);
     }
 
-    /// Swap qubits `a` and `b`.
+    /// Swap qubits `a` and `b` in one in-place pass (see
+    /// [`kernels::apply_swaps`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
     pub fn swap(&mut self, a: usize, b: usize) {
+        assert!(a < self.n && b < self.n, "qubit out of range");
         if a == b {
             return;
         }
-        self.cnot(a, b);
-        self.cnot(b, a);
-        self.cnot(a, b);
+        kernels::apply_swaps(&mut self.amps, &[(a, b)], kernels::auto_threads(self.n));
     }
 }
 
