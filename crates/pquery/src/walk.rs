@@ -19,6 +19,7 @@
 use crate::oracle::BatchSource;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::{BTreeMap, HashMap};
 
 /// The MNRS iteration counts for a Johnson-graph walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,11 +61,19 @@ impl WalkSchedule {
 
 /// Charged walk state over `J(k, z)`: the current subset, its (honestly
 /// queried) values, and the complement pool.
+///
+/// The values are kept in index order, so everything read from them is
+/// independent of hashing. A multiset of the values, with a count of the
+/// values held more than once, is kept up to date by every step.
 #[derive(Debug, Clone)]
 pub struct JohnsonWalk {
     subset: Vec<usize>,
     outside: Vec<usize>,
-    values: std::collections::HashMap<usize, u64>,
+    values: BTreeMap<usize, u64>,
+    /// How many subset members hold each value.
+    multiplicity: HashMap<u64, usize>,
+    /// How many values are held by two or more subset members.
+    repeated: usize,
 }
 
 impl JohnsonWalk {
@@ -82,13 +91,44 @@ impl JohnsonWalk {
         indices.shuffle(rng);
         let subset: Vec<usize> = indices[..z].to_vec();
         let outside: Vec<usize> = indices[z..].to_vec();
-        let mut values = std::collections::HashMap::with_capacity(z);
+        let mut walk = JohnsonWalk {
+            subset: Vec::new(),
+            outside,
+            values: BTreeMap::new(),
+            multiplicity: HashMap::with_capacity(z),
+            repeated: 0,
+        };
         for chunk in subset.chunks(p) {
-            for (i, v) in chunk.iter().zip(src.query(chunk)) {
-                values.insert(*i, v);
+            for (&i, v) in chunk.iter().zip(src.query(chunk)) {
+                walk.track(i, v);
             }
         }
-        JohnsonWalk { subset, outside, values }
+        walk.subset = subset;
+        walk
+    }
+
+    /// Start tracking value `v` of index `i`.
+    fn track(&mut self, i: usize, v: u64) {
+        self.values.insert(i, v);
+        let m = self.multiplicity.entry(v).or_insert(0);
+        *m += 1;
+        if *m == 2 {
+            self.repeated += 1;
+        }
+    }
+
+    /// Stop tracking index `i`.
+    fn untrack(&mut self, i: usize) {
+        let v = self.values.remove(&i).expect("index is tracked");
+        let m = self.multiplicity.get_mut(&v).expect("value is counted");
+        *m -= 1;
+        match *m {
+            0 => {
+                self.multiplicity.remove(&v);
+            }
+            1 => self.repeated -= 1,
+            _ => {}
+        }
     }
 
     /// The current subset.
@@ -101,7 +141,8 @@ impl JohnsonWalk {
         self.values.get(&i).copied()
     }
 
-    /// Iterate over `(index, value)` pairs of the current subset.
+    /// Iterate over `(index, value)` pairs of the current subset, in
+    /// ascending index order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.values.iter().map(|(&i, &v)| (i, v))
     }
@@ -117,6 +158,9 @@ impl JohnsonWalk {
         let p = src.p().min(src.k());
         let swaps = p.min(self.outside.len()).min(self.subset.len());
         let mut newcomers = Vec::with_capacity(swaps);
+        // Newcomers still in the subset: one may leave again in the same
+        // step, before its value is known.
+        let mut staying = Vec::with_capacity(swaps);
         for _ in 0..swaps {
             let oi = rng.gen_range(0..self.outside.len());
             let si = rng.gen_range(0..self.subset.len());
@@ -124,12 +168,21 @@ impl JohnsonWalk {
             let entering = self.outside.swap_remove(oi);
             self.subset[si] = entering;
             self.outside.push(leaving);
-            self.values.remove(&leaving);
+            match staying.iter().position(|&i| i == leaving) {
+                Some(pos) => {
+                    staying.swap_remove(pos);
+                }
+                None => self.untrack(leaving),
+            }
             newcomers.push(entering);
+            staying.push(entering);
         }
         if !newcomers.is_empty() {
-            for (i, v) in newcomers.iter().zip(src.query(&newcomers)) {
-                self.values.insert(*i, v);
+            for (&i, v) in newcomers.iter().zip(src.query(&newcomers)) {
+                if let Some(pos) = staying.iter().position(|&s| s == i) {
+                    staying.swap_remove(pos);
+                    self.track(i, v);
+                }
             }
         }
     }
@@ -143,16 +196,21 @@ impl JohnsonWalk {
 }
 
 /// Convenience: find a collision pair among the tracked values — the
-/// distinctness check.
+/// distinctness check. Scans the subset in index order and returns the first
+/// index whose value an earlier index already holds, paired with the first
+/// such earlier index. With no repeated value it returns `None` at once.
 pub fn collision_in(walk: &JohnsonWalk) -> Option<(usize, usize)> {
-    let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    if walk.repeated == 0 {
+        return None;
+    }
+    let mut seen = HashMap::new();
     for (i, v) in walk.entries() {
         if let Some(&j) = seen.get(&v) {
-            return Some((j.min(i), j.max(i)));
+            return Some((j, i));
         }
         seen.insert(v, i);
     }
-    None
+    unreachable!("a repeated value is held by two subset members")
 }
 
 #[cfg(test)]
@@ -224,6 +282,61 @@ mod tests {
             walk.step(&mut src, &mut rng);
         }
         panic!("pair never entered the subset in 200 steps");
+    }
+
+    #[test]
+    fn collision_check_is_in_index_order_with_several_pairs() {
+        // Pairs (3, 30), (21, 60) and (5, 90): scanning in index order, 30
+        // is the first index whose value was already seen.
+        let mut data: Vec<u64> = (0..100u64).map(|i| 1000 + i).collect();
+        for (i, j) in [(3, 30), (21, 60), (5, 90)] {
+            data[j] = data[i];
+        }
+        let mut src = VecSource::new(data.clone(), 100);
+        let mut rng = StdRng::seed_from_u64(4);
+        let walk = JohnsonWalk::setup(&mut src, 100, &mut rng);
+        let order: Vec<usize> = walk.entries().map(|(i, _)| i).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(walk.check(collision_in), Some((3, 30)));
+        // Walk a subset with several planted pairs: whatever it holds, the
+        // answer is the index-order reference.
+        let reference = |w: &JohnsonWalk| {
+            let mut idx = w.subset().to_vec();
+            idx.sort_unstable();
+            idx.iter()
+                .enumerate()
+                .find_map(|(b, &j)| idx[..b].iter().find(|&&i| data[i] == data[j]).map(|&i| (i, j)))
+        };
+        let mut src = VecSource::new(data.clone(), 4);
+        let mut walk = JohnsonWalk::setup(&mut src, 40, &mut rng);
+        let mut hits = 0;
+        for _ in 0..300 {
+            let want = reference(&walk);
+            hits += want.is_some() as usize;
+            assert_eq!(walk.check(collision_in), want);
+            walk.step(&mut src, &mut rng);
+        }
+        assert!(hits > 0, "no planted pair ever entered the subset");
+    }
+
+    #[test]
+    fn multiplicities_follow_the_subset() {
+        let data: Vec<u64> = (0..60u64).map(|i| i % 7).collect();
+        let mut src = VecSource::new(data.clone(), 3);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut walk = JohnsonWalk::setup(&mut src, 20, &mut rng);
+        for _ in 0..50 {
+            let mut want: HashMap<u64, usize> = HashMap::new();
+            for &i in walk.subset() {
+                *want.entry(data[i]).or_insert(0) += 1;
+            }
+            assert_eq!(walk.multiplicity, want);
+            assert_eq!(walk.repeated, want.values().filter(|&&m| m >= 2).count());
+            let mut members = walk.subset().to_vec();
+            members.sort_unstable();
+            assert!(walk.entries().map(|(i, _)| i).eq(members), "entries are the subset");
+            walk.step(&mut src, &mut rng);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! amplitude estimation reads out via phase estimation.
 
 use crate::complex::C64;
-use crate::grover::iterate;
+use crate::grover::{iterate, iterates};
 use crate::oracle::MarkedSet;
 use crate::phase_estimation::phase_estimation;
 use crate::state::State;
@@ -97,9 +97,7 @@ pub fn amplify_and_sample<F: Fn(usize) -> bool, R: Rng>(
     let oracle = MarkedSet::compile(q, 1 << q, good);
     for _ in 0..reps {
         let mut s = State::uniform(q, 0..q);
-        for _ in 0..j {
-            iterate(&mut s, &oracle);
-        }
+        iterates(&mut s, &oracle, j);
         let out = s.sample(rng);
         if oracle.contains(out) {
             return Some(out);

@@ -8,8 +8,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
-/// A complex number with `f64` components.
+/// A complex number with `f64` components, laid out as `[re, im]` (the
+/// SIMD kernels load amplitude slices as packed `f64` pairs).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct C64 {
     /// Real part.
     pub re: f64,

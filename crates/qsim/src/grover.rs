@@ -1,6 +1,7 @@
 //! Grover search on the statevector — exact-mode ground truth for the
 //! parallel-Grover emulation of `pquery` (paper Lemma 2 builds on this).
 
+use crate::kernels;
 use crate::oracle::{index_qubits, MarkedSet};
 use crate::state::State;
 use rand::Rng;
@@ -18,6 +19,20 @@ pub fn grover_iterate<F: Fn(usize) -> bool>(state: &mut State, q: usize, k: usiz
 pub(crate) fn iterate(state: &mut State, oracle: &MarkedSet) {
     oracle.apply(state);
     diffusion(state, oracle.qubits());
+}
+
+/// `j` Grover iterates with a compiled oracle on a state that is exactly
+/// its index register, in `j + 1` amplitude passes
+/// ([`kernels::grover_iterates`]); bit-identical to `j` calls of
+/// [`iterate`].
+///
+/// # Panics
+///
+/// Panics if the state is wider or narrower than the oracle's register.
+pub(crate) fn iterates(state: &mut State, oracle: &MarkedSet, j: usize) {
+    let n = state.num_qubits();
+    assert_eq!(n, oracle.qubits(), "the diffusion block must be the whole state");
+    kernels::grover_iterates(state.amplitudes_mut(), oracle.indices(), j, kernels::auto_threads(n));
 }
 
 /// The diffusion operator `2|u⟩⟨u| − I` on the `q` low-order qubits,
@@ -72,9 +87,7 @@ pub fn grover_known_count<F: Fn(usize) -> bool, R: Rng>(
     let j = ((PI / 4.0) / theta).floor() as usize;
     let oracle = MarkedSet::compile(q, k, marked);
     let mut s = State::uniform(q, 0..q);
-    for _ in 0..j {
-        iterate(&mut s, &oracle);
-    }
+    iterates(&mut s, &oracle, j);
     let out = s.sample(rng);
     GroverResult { found: oracle.contains(out).then_some(out), queries: j + 1 }
 }
@@ -107,9 +120,7 @@ pub fn grover_search<F: Fn(usize) -> bool, R: Rng>(
     while queries < cutoff {
         let j = rng.gen_range(0..(m.ceil() as usize).max(1));
         let mut s = State::uniform(q, 0..q);
-        for _ in 0..j {
-            iterate(&mut s, &oracle);
-        }
+        iterates(&mut s, &oracle, j);
         queries += j + 1;
         let out = s.sample(rng);
         if oracle.contains(out) {

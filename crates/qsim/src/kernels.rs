@@ -29,6 +29,16 @@
 //! [`auto_threads`] engages parallelism only for states of at least
 //! [`PARALLEL_QUBIT_THRESHOLD`] qubits on hosts with more than one core;
 //! below that the per-gate thread fan-out costs more than the scan.
+//!
+//! ## SIMD
+//!
+//! On x86-64 CPUs with AVX2 the dense complex loops — uncontrolled
+//! single-qubit pairs and the diagonal sweep's phase multiplies — run two
+//! amplitudes per 256-bit register. The path is picked once per kernel call
+//! (`Path::detect`). Each complex product is the same four IEEE products,
+//! one subtraction and one addition as `C64::mul`, with no FMA, so both
+//! paths give identical bits; the scalar loops are the fallback elsewhere
+//! and the reference in the tests.
 
 use crate::circuit::FusedOp;
 use crate::complex::C64;
@@ -88,6 +98,29 @@ pub struct DiagTerm {
     pub factor: C64,
 }
 
+/// How a kernel call does its complex arithmetic. Both paths give
+/// identical bits (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// Portable scalar loops.
+    Scalar,
+    /// Two amplitudes per AVX2 register. Only [`Path::detect`] picks it, on
+    /// a CPU that has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Path {
+    /// The fastest path this CPU supports.
+    fn detect() -> Path {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Path::Avx2;
+        }
+        Path::Scalar
+    }
+}
+
 #[inline(always)]
 fn pair_update(a: &mut C64, b: &mut C64, m: &[[C64; 2]; 2]) {
     let a0 = *a;
@@ -101,11 +134,18 @@ fn pair_update(a: &mut C64, b: &mut C64, m: &[[C64; 2]; 2]) {
 /// Kept out of line: inlined into the tile loop of `run_tile`, the same
 /// loop ran about half as fast.
 #[inline(never)]
-fn apply_1q_seq(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2]) {
-    for chunk in amps.chunks_exact_mut(bit << 1) {
-        let (lo, hi) = chunk.split_at_mut(bit);
-        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            pair_update(a, b, m);
+fn apply_1q_seq(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2], path: Path) {
+    match path {
+        // SAFETY: `Path::Avx2` is only picked on CPUs with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 if bit >= 2 => unsafe { simd::apply_1q_seq(amps, bit, m) },
+        _ => {
+            for chunk in amps.chunks_exact_mut(bit << 1) {
+                let (lo, hi) = chunk.split_at_mut(bit);
+                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                    pair_update(a, b, m);
+                }
+            }
         }
     }
 }
@@ -113,9 +153,132 @@ fn apply_1q_seq(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2]) {
 /// Sequential single-qubit kernel on the two halves of a high-target pair:
 /// pair `o` is `(lo[o], hi[o])`. Out of line like [`apply_1q_seq`].
 #[inline(never)]
-fn apply_1q_pair(lo: &mut [C64], hi: &mut [C64], m: &[[C64; 2]; 2]) {
-    for (a, b) in lo.iter_mut().zip(hi) {
-        pair_update(a, b, m);
+fn apply_1q_pair(lo: &mut [C64], hi: &mut [C64], m: &[[C64; 2]; 2], path: Path) {
+    match path {
+        // SAFETY: `Path::Avx2` is only picked on CPUs with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 => unsafe { simd::pair_run(lo, hi, m) },
+        Path::Scalar => {
+            for (a, b) in lo.iter_mut().zip(hi) {
+                pair_update(a, b, m);
+            }
+        }
+    }
+}
+
+/// Multiply every amplitude of `run` by `f`.
+#[inline(always)]
+fn scale_run(run: &mut [C64], f: C64, path: Path) {
+    match path {
+        // SAFETY: `Path::Avx2` is only picked on CPUs with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 if run.len() >= 2 => unsafe { simd::scale_run(run, f) },
+        _ => {
+            for a in run {
+                *a = *a * f;
+            }
+        }
+    }
+}
+
+/// The AVX2 complex loops. Two amplitudes `[re₀, im₀, re₁, im₁]` share a
+/// 256-bit register, and the product with a constant `f` is
+/// `addsub(a · [f.re], swap(a) · [f.im]) = [a.re·f.re − a.im·f.im,
+/// a.im·f.re + a.re·f.im]`: the four products, the subtraction and the
+/// addition of `C64::mul`, each rounded once, in an order that only
+/// commutes operands. There is no FMA, so the bits match the scalar loops.
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    use super::{pair_update, C64};
+    use std::arch::x86_64::*;
+
+    /// A constant factor broadcast as `([re; 4], [im; 4])`.
+    type Splat = (__m256d, __m256d);
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn splat(f: C64) -> Splat {
+        (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im))
+    }
+
+    /// `f · a` for the two amplitudes in `a`, bit-identical to `C64::mul`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul(a: __m256d, (re, im): Splat) -> __m256d {
+        _mm256_addsub_pd(_mm256_mul_pd(a, re), _mm256_mul_pd(_mm256_permute_pd::<0b0101>(a), im))
+    }
+
+    /// Load two amplitudes.
+    ///
+    /// # Safety
+    ///
+    /// `p` must point to two readable amplitudes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load(p: *const C64) -> __m256d {
+        // SAFETY: per the contract; `C64` is `repr(C)` `[re, im]`.
+        unsafe { _mm256_loadu_pd(p.cast()) }
+    }
+
+    /// Store two amplitudes.
+    ///
+    /// # Safety
+    ///
+    /// `p` must point to two writable amplitudes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store(p: *mut C64, v: __m256d) {
+        // SAFETY: per the contract; `C64` is `repr(C)` `[re, im]`.
+        unsafe { _mm256_storeu_pd(p.cast(), v) }
+    }
+
+    /// `super::apply_1q_pair` on pairs `(lo[o], hi[o])`, two at a time.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn pair_run(lo: &mut [C64], hi: &mut [C64], m: &[[C64; 2]; 2]) {
+        let [[m00, m01], [m10, m11]] = *m;
+        let (m00, m01, m10, m11) = (splat(m00), splat(m01), splat(m10), splat(m11));
+        let n = lo.len().min(hi.len());
+        let (lo, hi) = (&mut lo[..n], &mut hi[..n]);
+        let even = n & !1;
+        for o in (0..even).step_by(2) {
+            // SAFETY: `o + 1 < n`, the length of both slices.
+            unsafe {
+                let (pa, pb) = (lo.as_mut_ptr().add(o), hi.as_mut_ptr().add(o));
+                let (a0, a1) = (load(pa), load(pb));
+                store(pa, _mm256_add_pd(mul(a0, m00), mul(a1, m01)));
+                store(pb, _mm256_add_pd(mul(a0, m10), mul(a1, m11)));
+            }
+        }
+        for (a, b) in lo[even..].iter_mut().zip(&mut hi[even..]) {
+            pair_update(a, b, m);
+        }
+    }
+
+    /// `super::apply_1q_seq` for `bit ≥ 2`: each block's halves are runs of
+    /// an even length.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn apply_1q_seq(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2]) {
+        for chunk in amps.chunks_exact_mut(bit << 1) {
+            let (lo, hi) = chunk.split_at_mut(bit);
+            pair_run(lo, hi, m);
+        }
+    }
+
+    /// `super::scale_run`: `a ← a · f` over `run`, two at a time.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scale_run(run: &mut [C64], f: C64) {
+        let fs = splat(f);
+        let even = run.len() & !1;
+        for o in (0..even).step_by(2) {
+            // SAFETY: `o + 1 < run.len()`.
+            unsafe {
+                let p = run.as_mut_ptr().add(o);
+                store(p, mul(load(p), fs));
+            }
+        }
+        for a in &mut run[even..] {
+            *a = *a * f;
+        }
     }
 }
 
@@ -131,8 +294,9 @@ pub fn apply_1q(amps: &mut [C64], q: usize, m: [[C64; 2]; 2], threads: usize) {
     let threads = threads.max(1);
     crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
     crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
+    let path = Path::detect();
     if threads == 1 {
-        apply_1q_seq(amps, bit, &m);
+        apply_1q_seq(amps, bit, &m, path);
         return;
     }
     let num_blocks = amps.len() / block;
@@ -142,7 +306,7 @@ pub fn apply_1q(amps: &mut [C64], q: usize, m: [[C64; 2]; 2], threads: usize) {
         let per = num_blocks.div_ceil(threads) * block;
         std::thread::scope(|s| {
             for chunk in amps.chunks_mut(per) {
-                s.spawn(move || apply_1q_seq(chunk, bit, &m));
+                s.spawn(move || apply_1q_seq(chunk, bit, &m, path));
             }
         });
     } else {
@@ -154,7 +318,7 @@ pub fn apply_1q(amps: &mut [C64], q: usize, m: [[C64; 2]; 2], threads: usize) {
             let per = bit.div_ceil(threads);
             std::thread::scope(|s| {
                 for (lc, hc) in lo.chunks_mut(per).zip(hi.chunks_mut(per)) {
-                    s.spawn(move || apply_1q_pair(lc, hc, &m));
+                    s.spawn(move || apply_1q_pair(lc, hc, &m, path));
                 }
             });
         }
@@ -317,6 +481,7 @@ fn diag_sweep_run(
     terms: &[DiagTerm],
     block_len: usize,
     active: &mut Vec<DiagTerm>,
+    path: Path,
 ) {
     let low = block_len - 1;
     for (bi, block) in run.chunks_mut(block_len).enumerate() {
@@ -340,9 +505,7 @@ fn diag_sweep_run(
             }
         }
         if fired {
-            for a in block.iter_mut() {
-                *a = *a * pre;
-            }
+            scale_run(block, pre, path);
         }
         for t in active.iter() {
             // The mask's lowest set bit is above a contiguous run of free
@@ -354,9 +517,7 @@ fn diag_sweep_run(
             let f = t.factor;
             let mut c = 0usize;
             loop {
-                for a in &mut block[c | t.mask..][..len] {
-                    *a = *a * f;
-                }
+                scale_run(&mut block[c | t.mask..][..len], f, path);
                 if c == free {
                     break;
                 }
@@ -383,14 +544,15 @@ pub fn apply_diag(amps: &mut [C64], terms: &[DiagTerm], threads: usize) {
     crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
     crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
     crate::metrics::bump(crate::metrics::Counter::DiagBlocks, blocks as u64);
+    let path = Path::detect();
     if threads == 1 {
-        diag_sweep_run(amps, 0, terms, block_len, &mut Vec::new());
+        diag_sweep_run(amps, 0, terms, block_len, &mut Vec::new(), path);
         return;
     }
     let per = blocks.div_ceil(threads) * block_len;
     std::thread::scope(|s| {
         for (t, run) in amps.chunks_mut(per).enumerate() {
-            s.spawn(move || diag_sweep_run(run, t * per, terms, block_len, &mut Vec::new()));
+            s.spawn(move || diag_sweep_run(run, t * per, terms, block_len, &mut Vec::new(), path));
         }
     });
 }
@@ -431,6 +593,7 @@ pub(crate) fn apply_tiled(amps: &mut [C64], groups: &[FusedOp], high: &[usize], 
     let blocks = amps.len() / block_len;
     crate::metrics::bump(crate::metrics::Counter::DiagBlocks, (sweeps * blocks) as u64);
     let ptr = AmpsPtr(amps.as_mut_ptr());
+    let path = Path::detect();
     for_ranges(tiles, threads, |tiles| {
         let mut active = Vec::new();
         for t in tiles {
@@ -445,6 +608,7 @@ pub(crate) fn apply_tiled(amps: &mut [C64], groups: &[FusedOp], high: &[usize], 
                     groups,
                     high,
                     &mut active,
+                    path,
                 )
             };
         }
@@ -479,6 +643,7 @@ unsafe fn run_tile(
     groups: &[FusedOp],
     high: &[usize],
     active: &mut Vec<DiagTerm>,
+    path: Path,
 ) {
     // Block `s` of the tile sets the high qubits picked by the bits of `s`.
     let block_base =
@@ -493,18 +658,18 @@ unsafe fn run_tile(
         match g {
             &FusedOp::Matrix { ctrl_mask: 0, q, m } if !is_high_target(q) => {
                 for s in 0..blocks {
-                    apply_1q_seq(block(s), 1 << q, &m);
+                    apply_1q_seq(block(s), 1 << q, &m, path);
                 }
             }
             &FusedOp::Matrix { ctrl_mask: 0, q, m } => {
                 let j = high.iter().position(|&h| h == q).expect("high target not in the tile");
                 for s in (0..blocks).filter(|s| s >> j & 1 == 0) {
-                    apply_1q_pair(block(s), block(s | 1 << j), &m);
+                    apply_1q_pair(block(s), block(s | 1 << j), &m, path);
                 }
             }
             FusedOp::Diagonal(terms) => {
                 for s in 0..blocks {
-                    diag_sweep_run(block(s), block_base(s), terms, block_len, active);
+                    diag_sweep_run(block(s), block_base(s), terms, block_len, active, path);
                 }
             }
             _ => panic!("controlled matrices and swaps are whole-state passes"),
@@ -695,23 +860,7 @@ pub fn inversion_about_mean(amps: &mut [C64], q: usize, threads: usize) {
         // Single block spanning the whole state: parallelize the sum and
         // the subtraction across the state itself.
         let s = chunked_csum(amps, threads);
-        let shift = s.scale(2.0 / block as f64);
-        if threads == 1 {
-            for a in amps.iter_mut() {
-                *a = *a - shift;
-            }
-            return;
-        }
-        let per = amps.len().div_ceil(threads);
-        std::thread::scope(|sc| {
-            for chunk in amps.chunks_mut(per) {
-                sc.spawn(move || {
-                    for a in chunk.iter_mut() {
-                        *a = *a - shift;
-                    }
-                });
-            }
-        });
+        subtract(amps, s.scale(2.0 / block as f64), threads);
         return;
     }
     // Several blocks: hand contiguous runs of whole blocks to workers; each
@@ -741,6 +890,105 @@ pub fn inversion_about_mean(amps: &mut [C64], q: usize, threads: usize) {
             });
         }
     });
+}
+
+/// `a ← a − shift` for every amplitude.
+fn subtract(amps: &mut [C64], shift: C64, threads: usize) {
+    if threads == 1 {
+        for a in amps.iter_mut() {
+            *a = *a - shift;
+        }
+        return;
+    }
+    let per = amps.len().div_ceil(threads);
+    std::thread::scope(|sc| {
+        for chunk in amps.chunks_mut(per) {
+            sc.spawn(move || {
+                for a in chunk.iter_mut() {
+                    *a = *a - shift;
+                }
+            });
+        }
+    });
+}
+
+/// Run `j` Grover iterates on a state whose diffusion block is the whole
+/// register: negate the amplitudes at `marked` (ascending, each below
+/// `amps.len()`), then [`inversion_about_mean`] over the whole state, `j`
+/// times.
+///
+/// The iterates take `j + 1` amplitude passes instead of `2j`. The first
+/// negates the marked amplitudes and sums the state. Each middle pass
+/// subtracts the last shift `2·sum/len`, negates the marked amplitudes and
+/// sums the results in the same sweep. The last pass only subtracts. Sums
+/// are taken per [`REDUCE_CHUNK`] in element order from `C64::ZERO` and
+/// folded in chunk order, exactly as [`chunked_csum`] does, and workers
+/// take whole chunks: every sum, shift and amplitude is bit-identical to
+/// the two-pass iterate at every thread count.
+pub(crate) fn grover_iterates(amps: &mut [C64], marked: &[usize], j: usize, threads: usize) {
+    if j == 0 {
+        return;
+    }
+    let threads = threads.max(1);
+    let scale = 2.0 / amps.len() as f64;
+    for &i in marked {
+        amps[i] = -amps[i];
+    }
+    let mut shift = chunked_csum(amps, threads).scale(scale);
+    for _ in 1..j {
+        shift = shift_flip_sum(amps, marked, shift, threads).scale(scale);
+    }
+    subtract(amps, shift, threads);
+}
+
+/// A middle pass of [`grover_iterates`]: subtract `shift` from every
+/// amplitude, negate the marked ones, and return the sum of the results
+/// with [`chunked_csum`]'s chunking and order.
+fn shift_flip_sum(amps: &mut [C64], marked: &[usize], shift: C64, threads: usize) -> C64 {
+    let chunks = amps.len().div_ceil(REDUCE_CHUNK);
+    let mut partials = vec![C64::ZERO; chunks];
+    let per = chunks.div_ceil(threads.min(chunks));
+    let run = |first: usize, slot: &mut [C64], amps: &mut [C64]| {
+        for (c, (p, chunk)) in slot.iter_mut().zip(amps.chunks_mut(REDUCE_CHUNK)).enumerate() {
+            let base = (first + c) * REDUCE_CHUNK;
+            let lo = marked.partition_point(|&i| i < base);
+            let hi = marked.partition_point(|&i| i < base + chunk.len());
+            *p = shift_flip_sum_chunk(chunk, base, &marked[lo..hi], shift);
+        }
+    };
+    if per == chunks {
+        run(0, &mut partials, amps);
+    } else {
+        std::thread::scope(|s| {
+            let runs = partials.chunks_mut(per).zip(amps.chunks_mut(per * REDUCE_CHUNK));
+            for (w, (slot, amps)) in runs.enumerate() {
+                let run = &run;
+                s.spawn(move || run(w * per, slot, amps));
+            }
+        });
+    }
+    partials.iter().copied().sum()
+}
+
+/// [`shift_flip_sum`] on one chunk starting at amplitude `base`, with
+/// `marked` the marked indices inside it: the runs between marked indices
+/// are shifted and summed without a per-amplitude test.
+#[inline(always)]
+fn shift_flip_sum_chunk(chunk: &mut [C64], base: usize, marked: &[usize], shift: C64) -> C64 {
+    let mut acc = C64::ZERO;
+    let mut start = 0;
+    for end in marked.iter().map(|&i| i - base).chain([chunk.len()]) {
+        for a in &mut chunk[start..end] {
+            *a = *a - shift;
+            acc += *a;
+        }
+        if let Some(a) = chunk.get_mut(end) {
+            *a = -(*a - shift);
+            acc += *a;
+        }
+        start = end + 1;
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -967,6 +1215,134 @@ mod tests {
         let mut par = orig.clone();
         phase_flip_where(&mut par, |x| x % 3 == 0, 4);
         assert_eq!(par, amps);
+    }
+
+    /// A random complex 2×2 matrix (not unitary: the kernels do not care).
+    fn random_matrix(seed: u64) -> [[C64; 2]; 2] {
+        let v = haar_ish(2, seed);
+        [[v[0], v[1]], [v[2], v[3]]]
+    }
+
+    /// A dense random vector with signed zeros planted in some components.
+    fn with_zeros(n: usize, seed: u64) -> Vec<C64> {
+        let mut v = haar_ish(n, seed);
+        for (i, a) in v.iter_mut().enumerate().step_by(5) {
+            *a = match i % 3 {
+                0 => c64(0.0, -0.0),
+                1 => c64(-0.0, a.im),
+                _ => c64(a.re, 0.0),
+            };
+        }
+        v
+    }
+
+    fn assert_bits(a: &[C64], b: &[C64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            let same = x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits();
+            assert!(same, "{what}: amplitude {i}: {x:?} vs {y:?}");
+        }
+    }
+
+    #[test]
+    fn simd_paths_match_scalar_bit_for_bit() {
+        let fast = Path::detect();
+        if fast == Path::Scalar {
+            return; // no SIMD path on this CPU
+        }
+        for n in [1usize, 2, 5, 13] {
+            for q in 0..n {
+                let m = random_matrix(100 + (n * 17 + q) as u64);
+                let mut scalar = with_zeros(n, 3 + q as u64);
+                let mut simd = scalar.clone();
+                apply_1q_seq(&mut scalar, 1 << q, &m, Path::Scalar);
+                apply_1q_seq(&mut simd, 1 << q, &m, fast);
+                assert_bits(&simd, &scalar, &format!("apply_1q_seq n={n} q={q}"));
+            }
+        }
+        for len in [0usize, 1, 2, 3, 4, 5, 4096, 4097] {
+            let m = random_matrix(7 + len as u64);
+            let (mut lo, mut hi) = (with_zeros(13, 11)[..len].to_vec(), haar_ish(13, 12));
+            hi.truncate(len);
+            let (mut lo2, mut hi2) = (lo.clone(), hi.clone());
+            apply_1q_pair(&mut lo, &mut hi, &m, Path::Scalar);
+            apply_1q_pair(&mut lo2, &mut hi2, &m, fast);
+            assert_bits(&lo2, &lo, &format!("apply_1q_pair lo len={len}"));
+            assert_bits(&hi2, &hi, &format!("apply_1q_pair hi len={len}"));
+            let f = random_matrix(30 + len as u64)[1][0];
+            let mut run = with_zeros(13, 13)[..len].to_vec();
+            let mut run2 = run.clone();
+            scale_run(&mut run, f, Path::Scalar);
+            scale_run(&mut run2, f, fast);
+            assert_bits(&run2, &run, &format!("scale_run len={len}"));
+        }
+        // Diagonal sweeps: a block prefactor (masks in the high bits and the
+        // empty mask), runs of 1, 2 and 2^11 amplitudes, and merged terms,
+        // over whole blocks and over one short block.
+        let f = |k: u64| C64::from_polar(1.0, 0.37 * k as f64 + 0.1);
+        let terms = [
+            DiagTerm { mask: 1 << 13, factor: f(1) },
+            DiagTerm { mask: 0, factor: f(2) },
+            DiagTerm { mask: 0b1, factor: f(3) },
+            DiagTerm { mask: 0b110, factor: f(4) },
+            DiagTerm { mask: 1 << 11, factor: f(5) },
+            DiagTerm { mask: (1 << 12) | 0b110, factor: f(6) },
+        ];
+        for n in [3usize, 14] {
+            let block_len = DIAG_BLOCK.min(1 << n);
+            let mut scalar = with_zeros(n, 40 + n as u64);
+            let mut simd = scalar.clone();
+            diag_sweep_run(&mut scalar, 0, &terms, block_len, &mut Vec::new(), Path::Scalar);
+            diag_sweep_run(&mut simd, 0, &terms, block_len, &mut Vec::new(), fast);
+            assert_bits(&simd, &scalar, &format!("diag_sweep_run n={n}"));
+        }
+    }
+
+    /// The two-pass reference for [`grover_iterates`]: the oracle negation
+    /// and [`inversion_about_mean`], `j` times.
+    fn two_pass_iterates(amps: &mut [C64], marked: &[usize], j: usize, threads: usize) {
+        let n = amps.len().trailing_zeros() as usize;
+        for _ in 0..j {
+            for &i in marked {
+                amps[i] = -amps[i];
+            }
+            inversion_about_mean(amps, n, threads);
+        }
+    }
+
+    #[test]
+    fn grover_iterates_match_two_pass_loop_bit_for_bit() {
+        for n in [1usize, 2, 7, 12, 13, 14] {
+            let len = 1usize << n;
+            let boundary: Vec<usize> = [0, REDUCE_CHUNK - 1, REDUCE_CHUNK, len - 1]
+                .into_iter()
+                .filter(|&i| i < len)
+                .collect();
+            let sets: [(&str, Vec<usize>); 5] = [
+                ("none", vec![]),
+                ("one", vec![len / 3]),
+                ("all", (0..len).collect()),
+                ("every third", (0..len).step_by(3).collect()),
+                ("chunk edges", {
+                    let mut b = boundary.clone();
+                    b.dedup();
+                    b
+                }),
+            ];
+            for (name, marked) in &sets {
+                for j in [0usize, 1, 2, 3, 7] {
+                    let orig = with_zeros(n, (n * 10 + j) as u64);
+                    let mut want = orig.clone();
+                    two_pass_iterates(&mut want, marked, j, 1);
+                    for threads in [1usize, 2, 4] {
+                        let mut got = orig.clone();
+                        grover_iterates(&mut got, marked, j, threads);
+                        let what = format!("n={n} {name} j={j} threads={threads}");
+                        assert_bits(&got, &want, &what);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,11 @@ impl MarkedSet {
         self.q
     }
 
+    /// The marked indices, ascending.
+    pub(crate) fn indices(&self) -> &[usize] {
+        &self.marked
+    }
+
     /// Whether index `i` is marked (a binary search, no predicate call).
     pub(crate) fn contains(&self, i: usize) -> bool {
         self.marked.binary_search(&i).is_ok()
