@@ -3,18 +3,22 @@
 //!
 //! Three engine-bound workloads (token flood, repeated broadcast, BFS tree
 //! construction) across four topologies (path, grid, bounded-degree random,
-//! hub star) at n ∈ {64, 512, 4096}. `BENCH_engine.json` at the repo root
-//! records before/after medians for the zero-alloc routing rewrite; regen
-//! with:
+//! hub star) at n ∈ {64, 512, 4096}, plus the three tree-communication
+//! phases of one classical meeting-scheduling batch (`p = k = 16384` on
+//! `dumbbell(6, 6, 12)`), where fixed per-round costs dominate.
+//! `BENCH_engine.json` at the repo root records parent-against-change
+//! medians; regen with:
 //!
 //! ```text
 //! CRITERION_JSON_OUT=/tmp/engine.json cargo bench -p dqc-bench --bench engine
 //! ```
 
-use congest::bfs::BfsTreeProtocol;
-use congest::generators::{grid, path, random_connected_m, star};
-use congest::graph::{Graph, NodeId};
+use congest::aggregate::{aggregate_batch, CommOp};
+use congest::bfs::{build_bfs_tree, BfsTreeProtocol};
+use congest::generators::{dumbbell, grid, path, random_connected_m, star};
+use congest::graph::{bits_for, Graph, NodeId};
 use congest::runtime::{Ctx, MessageSize, Network, NodeProtocol};
+use congest::tree_comm::{distribute_register, gather_register, Register, Schedule};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// A one-bit token flooded outward from node 0.
@@ -157,5 +161,34 @@ fn bench_bfs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_flood, bench_broadcast, bench_bfs);
+/// The classical scheduling driver's one batch: distribute a `p·⌈log k⌉`
+/// index register, aggregate `p` 5-bit attendance sums, gather the copies.
+fn bench_tree_comm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tree_comm");
+    group.sample_size(10);
+    let (g, _) = dumbbell(6, 6, 12);
+    let net = Network::new(&g);
+    let views = build_bfs_tree(&net, 0).expect("connected").views;
+    let k = 16384usize;
+    let q = bits_for(g.n() as u64);
+    let indices: Vec<u64> = (0..k as u64).collect();
+    let reg = Register::pack(&indices, bits_for(k as u64 - 1));
+    let (copies, _) = distribute_register(&net, &views, reg.clone(), Schedule::Pipelined).unwrap();
+    let values: Vec<Vec<u64>> =
+        (0..g.n()).map(|v| (0..k).map(|i| ((i * 7 + v * 3) % 10 < 3) as u64).collect()).collect();
+    // The drivers consume their inputs, so each timed iteration also clones
+    // them: the register (26 KiB), the value rows (3.4 MB) and the copies.
+    group.bench_function("distribute/dumbbell_k16384", |b| {
+        b.iter(|| distribute_register(&net, &views, reg.clone(), Schedule::Pipelined).unwrap().1)
+    });
+    group.bench_function("aggregate/dumbbell_k16384", |b| {
+        b.iter(|| aggregate_batch(&net, &views, values.clone(), q, CommOp::Sum).unwrap().stats)
+    });
+    group.bench_function("gather/dumbbell_k16384", |b| {
+        b.iter(|| gather_register(&net, &views, copies.clone()).unwrap().1)
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_flood, bench_broadcast, bench_bfs, bench_tree_comm);
 criterion_main!(benches);

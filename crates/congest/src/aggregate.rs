@@ -173,21 +173,24 @@ fn mask(len: u64) -> u64 {
     }
 }
 
-/// Per-node state of the aggregation protocol.
+/// Per-node state of the aggregation protocol, borrowing the node's tree
+/// view for the run.
+///
+/// Every child streams its values strictly in index order, so index `i`
+/// is complete here exactly when `i` is below every child's next stream
+/// index: the node needs no per-index bookkeeping, and its Up stream is a
+/// cursor over `acc`.
 #[derive(Debug)]
-pub struct AggregateBatchProtocol {
-    tree: TreeView,
+pub struct AggregateBatchProtocol<'a> {
+    tree: &'a TreeView,
     op: CommOp,
     q: u64,
-    p: usize,
     chunk_bits: u64,
     /// Combined subtree values (starts as this node's own results).
     acc: Vec<u64>,
-    /// Children whose value for index `i` is still outstanding.
-    missing: Vec<usize>,
-    /// Next index to forward up (strictly in order).
-    next_up: usize,
-    up_out: StreamOut,
+    /// Next index to stream up, and the bits of it already sent.
+    up_idx: usize,
+    up_bits: u64,
     /// In-order reassembly per child, parallel to `tree.children`.
     child_in: Vec<StreamIn>,
     /// Echo streams per child (values echo in the order they arrived).
@@ -199,17 +202,18 @@ pub struct AggregateBatchProtocol {
     echo_mismatch: bool,
 }
 
-impl AggregateBatchProtocol {
+impl<'a> AggregateBatchProtocol<'a> {
     /// Instances given tree views, per-node value vectors (all of length
-    /// `p`), the value width `q ≤ 64`, the operation, and the chunk size.
+    /// `p`, each moved into its node's accumulator), the value width
+    /// `q ≤ 64`, the operation, and the chunk size.
     ///
     /// # Panics
     ///
     /// Panics on inconsistent lengths, `q == 0`, `q > 64`, values not
     /// fitting in `q` bits, or `chunk_bits == 0`.
     pub fn instances(
-        views: &[TreeView],
-        values: &[Vec<u64>],
+        views: &'a [TreeView],
+        values: Vec<Vec<u64>>,
         q: u64,
         op: CommOp,
         chunk_bits: u64,
@@ -228,15 +232,13 @@ impl AggregateBatchProtocol {
                 }
                 let nc = view.children.len();
                 AggregateBatchProtocol {
-                    tree: view.clone(),
+                    tree: view,
                     op,
                     q,
-                    p,
                     chunk_bits: chunk_bits.min(64),
-                    acc: vals.clone(),
-                    missing: vec![nc; p],
-                    next_up: 0,
-                    up_out: StreamOut::default(),
+                    acc: vals,
+                    up_idx: 0,
+                    up_bits: 0,
                     child_in: vec![StreamIn::default(); nc],
                     echo_out: vec![StreamOut::default(); nc],
                     echo_in: StreamIn::default(),
@@ -252,9 +254,21 @@ impl AggregateBatchProtocol {
         &self.acc
     }
 
+    /// Consume the node, returning its aggregated values.
+    pub fn into_aggregates(self) -> Vec<u64> {
+        self.acc
+    }
+
     /// Whether an uncompute echo mismatched (protocol-bug detector).
     pub fn echo_mismatch(&self) -> bool {
         self.echo_mismatch
+    }
+
+    /// Number of leading indices whose subtree value is complete here:
+    /// the minimum over children of the next index each child's in-order
+    /// stream will deliver (`p` at a leaf).
+    fn ready(&self) -> usize {
+        self.child_in.iter().map(|s| s.idx).min().unwrap_or(self.acc.len())
     }
 
     fn child_pos(&self, c: NodeId) -> usize {
@@ -266,7 +280,7 @@ impl AggregateBatchProtocol {
     }
 }
 
-impl NodeProtocol for AggregateBatchProtocol {
+impl NodeProtocol for AggregateBatchProtocol<'_> {
     type Msg = AggMsg;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, AggMsg>, inbox: &[(NodeId, AggMsg)]) {
@@ -283,7 +297,6 @@ impl NodeProtocol for AggregateBatchProtocol {
                             self.q
                         );
                         self.acc[idx] = combined;
-                        self.missing[idx] -= 1;
                         self.echo_out[pos].push(v);
                     }
                 }
@@ -297,32 +310,33 @@ impl NodeProtocol for AggregateBatchProtocol {
                 }
             }
         }
-        // Queue the next in-order completed values for the parent.
-        if self.tree.parent.is_some() {
-            while self.next_up < self.p && self.missing[self.next_up] == 0 {
-                self.up_out.push(self.acc[self.next_up]);
-                self.next_up += 1;
-            }
-        }
-        // Stream one Up chunk per round toward the parent.
+        // Stream one Up chunk per round toward the parent, strictly in
+        // index order; a complete value never changes again.
         if let Some(parent) = self.tree.parent {
-            if let Some((nbits, payload)) = self.up_out.next_chunk(self.q, self.chunk_bits) {
-                ctx.send(parent, AggMsg::Up { nbits, payload });
+            if self.up_idx < self.ready() {
+                let len = self.chunk_bits.min(self.q - self.up_bits);
+                let payload = (self.acc[self.up_idx] >> self.up_bits) & mask(len);
+                self.up_bits += len;
+                if self.up_bits == self.q {
+                    self.up_idx += 1;
+                    self.up_bits = 0;
+                }
+                ctx.send(parent, AggMsg::Up { nbits: len, payload });
             }
         }
         // Stream one Echo chunk per round toward each child.
-        for pos in 0..self.tree.children.len() {
+        for (pos, &child) in self.tree.children.iter().enumerate() {
             if let Some((nbits, payload)) = self.echo_out[pos].next_chunk(self.q, self.chunk_bits) {
-                ctx.send(self.tree.children[pos], AggMsg::Echo { nbits, payload });
+                ctx.send(child, AggMsg::Echo { nbits, payload });
             }
         }
     }
 
     fn is_done(&self) -> bool {
-        let combined_all = self.missing.iter().all(|&m| m == 0);
-        let sent_all =
-            self.tree.parent.is_none() || (self.next_up == self.p && self.up_out.is_idle());
-        let echoed_all = self.tree.parent.is_none() || self.echoes_received == self.p;
+        let p = self.acc.len();
+        let combined_all = self.ready() == p;
+        let sent_all = self.tree.parent.is_none() || self.up_idx == p;
+        let echoed_all = self.tree.parent.is_none() || self.echoes_received == p;
         let echo_out_done = self.echo_out.iter().all(|s| s.is_idle());
         combined_all && sent_all && echoed_all && echo_out_done
     }
@@ -338,23 +352,33 @@ pub struct BatchAggregate {
 }
 
 /// Driver: aggregate a batch of `p` per-node value vectors at the root of
-/// `views` under `op`, with values of width `q ≤ 64` bits.
+/// `views` under `op`, with values of width `q ≤ 64` bits. The vectors are
+/// consumed: each becomes its node's accumulator, and the root's is
+/// returned.
 ///
 /// # Errors
 ///
 /// Propagates [`RuntimeError`].
+///
+/// # Panics
+///
+/// Panics on the inputs [`AggregateBatchProtocol::instances`] rejects, on
+/// an aggregate outside the `q`-bit domain, and if any node's uncompute
+/// echo mismatched the value it sent up — a protocol bug, not an input
+/// error.
 pub fn aggregate_batch(
     net: &Network<'_>,
     views: &[TreeView],
-    values: &[Vec<u64>],
+    values: Vec<Vec<u64>>,
     q: u64,
     op: CommOp,
 ) -> Result<BatchAggregate, RuntimeError> {
     let chunk = net.cap_bits().saturating_sub(2).clamp(1, 64);
     let root = views.iter().position(|v| v.parent.is_none()).expect("tree has a root");
-    let run = net.run(AggregateBatchProtocol::instances(views, values, q, op, chunk))?;
-    debug_assert!(run.nodes.iter().all(|n| !n.echo_mismatch()), "uncompute echo mismatch");
-    Ok(BatchAggregate { values: run.nodes[root].aggregates().to_vec(), stats: run.stats })
+    let mut run = net.run(AggregateBatchProtocol::instances(views, values, q, op, chunk))?;
+    assert!(run.nodes.iter().all(|n| !n.echo_mismatch()), "uncompute echo mismatch");
+    let values = run.nodes.swap_remove(root).into_aggregates();
+    Ok(BatchAggregate { values, stats: run.stats })
 }
 
 #[cfg(test)]
@@ -395,7 +419,7 @@ mod tests {
         let lim = if op == CommOp::Sum { (full / g.n() as u64).max(1) } else { full };
         let values: Vec<Vec<u64>> =
             (0..g.n()).map(|_| (0..p).map(|_| rng.gen_range(0..=lim)).collect()).collect();
-        let agg = aggregate_batch(&net, &tree.views, &values, q, op).unwrap();
+        let agg = aggregate_batch(&net, &tree.views, values.clone(), q, op).unwrap();
         for i in 0..p {
             let want = op.fold(values.iter().map(|v| v[i]));
             assert_eq!(agg.values[i], want, "index {i} under {op:?}");
@@ -458,8 +482,35 @@ mod tests {
         let net = Network::new(&g);
         let tree = build_bfs_tree(&net, 0).unwrap();
         let values: Vec<Vec<u64>> = vec![vec![]; 4];
-        let agg = aggregate_batch(&net, &tree.views, &values, 8, CommOp::Sum).unwrap();
+        let agg = aggregate_batch(&net, &tree.views, values, 8, CommOp::Sum).unwrap();
         assert!(agg.values.is_empty());
         assert_eq!(agg.stats.rounds, 0);
+    }
+
+    #[test]
+    fn wrong_echo_sets_mismatch() {
+        // A leaf under parent 0 sends its value 5 up, then hears 4 back.
+        let view = TreeView { parent: Some(0), children: vec![], depth: 1 };
+        let mut node = AggregateBatchProtocol::instances(
+            std::slice::from_ref(&view),
+            vec![vec![5]],
+            8,
+            CommOp::Sum,
+            8,
+        )
+        .pop()
+        .unwrap();
+        let neighbors = [0];
+        let mut out = Vec::new();
+        let mut round = |node: &mut AggregateBatchProtocol<'_>, inbox: &[(NodeId, AggMsg)]| {
+            let mut ctx = Ctx::internal(1, 0, 2, 10, &neighbors, &mut out, None);
+            node.on_round(&mut ctx, inbox);
+        };
+        round(&mut node, &[]);
+        assert!(!node.echo_mismatch());
+        round(&mut node, &[(0, AggMsg::Echo { nbits: 8, payload: 4 })]);
+        assert!(node.echo_mismatch(), "a wrong echo must be detected");
+        assert!(node.is_done(), "the run still completes; the driver reports the mismatch");
+        assert_eq!(out.len(), 1, "exactly one Up chunk was sent");
     }
 }

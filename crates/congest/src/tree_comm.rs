@@ -19,7 +19,6 @@
 use crate::bfs::TreeView;
 use crate::graph::NodeId;
 use crate::runtime::{Ctx, MessageSize, Network, NodeProtocol, RunStats, RuntimeError};
-use std::collections::VecDeque;
 
 /// A register of `bits ≤ 64·words.len()` (qu)bits, stored little-endian in
 /// 64-bit words. One classical basis-state branch of a quantum register.
@@ -190,10 +189,11 @@ pub enum Schedule {
     StoreAndForward,
 }
 
-/// Broadcast of a `q`-qubit register from the tree root to every node.
+/// Broadcast of a `q`-qubit register from the tree root to every node,
+/// borrowing each node's tree view for the run.
 #[derive(Debug)]
-pub struct BroadcastRegisterProtocol {
-    tree: TreeView,
+pub struct BroadcastRegisterProtocol<'a> {
+    tree: &'a TreeView,
     schedule: Schedule,
     q: u64,
     chunk_bits: u64,
@@ -205,8 +205,9 @@ pub struct BroadcastRegisterProtocol {
     sent: u64,
 }
 
-impl BroadcastRegisterProtocol {
-    /// Instances for a broadcast of `reg` (held by the root) down `views`.
+impl<'a> BroadcastRegisterProtocol<'a> {
+    /// Instances for a broadcast of `root_reg` (moved into the root) down
+    /// `views`.
     ///
     /// `chunk_bits` is the per-round chunk size; callers use
     /// `net.cap_bits() - 1` (one tag bit) capped at 64.
@@ -215,7 +216,7 @@ impl BroadcastRegisterProtocol {
     ///
     /// Panics if `chunk_bits == 0` or no view is a root.
     pub fn instances(
-        views: &[TreeView],
+        views: &'a [TreeView],
         root_reg: Register,
         chunk_bits: u64,
         schedule: Schedule,
@@ -223,17 +224,21 @@ impl BroadcastRegisterProtocol {
         assert!(chunk_bits > 0);
         assert!(views.iter().any(|v| v.parent.is_none()), "no root in tree views");
         let q = root_reg.bits();
+        let mut root_reg = Some(root_reg);
         views
             .iter()
             .map(|view| {
-                let is_root = view.parent.is_none();
+                let (reg, have) = match view.parent {
+                    None => (root_reg.take().expect("tree has exactly one root"), q),
+                    Some(_) => (Register::zeros(q), 0),
+                };
                 BroadcastRegisterProtocol {
-                    tree: view.clone(),
+                    tree: view,
                     schedule,
                     q,
                     chunk_bits: chunk_bits.min(64),
-                    reg: if is_root { root_reg.clone() } else { Register::zeros(q) },
-                    have: if is_root { q } else { 0 },
+                    reg,
+                    have,
                     sent: 0,
                 }
             })
@@ -245,6 +250,11 @@ impl BroadcastRegisterProtocol {
         &self.reg
     }
 
+    /// Consume the node, returning its register copy.
+    pub fn into_register(self) -> Register {
+        self.reg
+    }
+
     fn may_send(&self) -> bool {
         match self.schedule {
             Schedule::Pipelined => self.sent < self.have,
@@ -253,7 +263,7 @@ impl BroadcastRegisterProtocol {
     }
 }
 
-impl NodeProtocol for BroadcastRegisterProtocol {
+impl NodeProtocol for BroadcastRegisterProtocol<'_> {
     type Msg = Chunk;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Chunk>, inbox: &[(NodeId, Chunk)]) {
@@ -285,26 +295,26 @@ impl NodeProtocol for BroadcastRegisterProtocol {
 ///
 /// Each node verifies that the received child copies equal its own
 /// (uncompute would otherwise leave garbage); a mismatch marks the run
-/// corrupt.
+/// corrupt. Each node borrows its tree view for the run.
 #[derive(Debug)]
-pub struct GatherRegisterProtocol {
-    tree: TreeView,
+pub struct GatherRegisterProtocol<'a> {
+    tree: &'a TreeView,
     q: u64,
     chunk_bits: u64,
     reg: Register,
     sent: u64,
-    /// Per-child progress: (received bits, mismatch seen).
-    child_have: Vec<(NodeId, u64)>,
+    /// Bits received from each child, parallel to `tree.children`.
+    child_have: Vec<u64>,
     mismatch: bool,
 }
 
-impl GatherRegisterProtocol {
+impl<'a> GatherRegisterProtocol<'a> {
     /// Instances given each node's tree view and its local register copy.
     ///
     /// # Panics
     ///
     /// Panics if register widths disagree or `chunk_bits == 0`.
-    pub fn instances(views: &[TreeView], regs: Vec<Register>, chunk_bits: u64) -> Vec<Self> {
+    pub fn instances(views: &'a [TreeView], regs: Vec<Register>, chunk_bits: u64) -> Vec<Self> {
         assert!(chunk_bits > 0);
         assert_eq!(views.len(), regs.len());
         let q = regs[0].bits();
@@ -314,10 +324,10 @@ impl GatherRegisterProtocol {
             .map(|(view, reg)| {
                 assert_eq!(reg.bits(), q, "all copies must have the same width");
                 GatherRegisterProtocol {
-                    tree: view.clone(),
+                    tree: view,
                     q,
                     chunk_bits: chunk_bits.min(64),
-                    child_have: view.children.iter().map(|&c| (c, 0)).collect(),
+                    child_have: vec![0; view.children.len()],
                     reg,
                     sent: 0,
                     mismatch: false,
@@ -335,23 +345,29 @@ impl GatherRegisterProtocol {
     pub fn register(&self) -> &Register {
         &self.reg
     }
+
+    /// Consume the node, returning its retained register.
+    pub fn into_register(self) -> Register {
+        self.reg
+    }
 }
 
-impl NodeProtocol for GatherRegisterProtocol {
+impl NodeProtocol for GatherRegisterProtocol<'_> {
     type Msg = Chunk;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Chunk>, inbox: &[(NodeId, Chunk)]) {
         for (from, chunk) in inbox {
-            let slot = self
-                .child_have
-                .iter_mut()
-                .find(|(c, _)| c == from)
+            let pos = self
+                .tree
+                .children
+                .iter()
+                .position(|c| c == from)
                 .expect("chunks only flow from children");
-            let expect = self.reg.get_bits(slot.1, chunk.nbits);
-            if expect != chunk.payload {
+            let have = &mut self.child_have[pos];
+            if self.reg.get_bits(*have, chunk.nbits) != chunk.payload {
                 self.mismatch = true;
             }
-            slot.1 += chunk.nbits;
+            *have += chunk.nbits;
         }
         if let Some(parent) = self.tree.parent {
             if self.sent < self.q {
@@ -365,12 +381,13 @@ impl NodeProtocol for GatherRegisterProtocol {
 
     fn is_done(&self) -> bool {
         (self.tree.parent.is_none() || self.sent == self.q)
-            && self.child_have.iter().all(|&(_, h)| h == self.q)
+            && self.child_have.iter().all(|&h| h == self.q)
     }
 }
 
 /// Driver for Lemma 7 (forward direction): broadcast `reg` from the root of
-/// `tree` to every node. Returns all node copies and the measured stats.
+/// `tree` to every node. Returns all node copies (moved out of the
+/// finished run) and the measured stats.
 ///
 /// # Errors
 ///
@@ -383,7 +400,7 @@ pub fn distribute_register(
 ) -> Result<(Vec<Register>, RunStats), RuntimeError> {
     let chunk = (net.cap_bits().saturating_sub(1)).clamp(1, 64);
     let run = net.run(BroadcastRegisterProtocol::instances(views, reg, chunk, schedule))?;
-    Ok((run.nodes.iter().map(|p| p.register().clone()).collect(), run.stats))
+    Ok((run.nodes.into_iter().map(BroadcastRegisterProtocol::into_register).collect(), run.stats))
 }
 
 /// Driver for Lemma 7 (reverse direction): uncompute all non-root copies.
@@ -391,9 +408,13 @@ pub fn distribute_register(
 ///
 /// # Errors
 ///
-/// Propagates [`RuntimeError`]; a copy mismatch is reported as a panic in
-/// debug builds and a `mismatch` flag otherwise — it indicates a protocol
-/// bug, not an input error.
+/// Propagates [`RuntimeError`].
+///
+/// # Panics
+///
+/// Panics if register widths disagree, and if any node received a child
+/// copy that differs from its own — uncompute would leave garbage, which
+/// indicates a protocol bug, not an input error.
 pub fn gather_register(
     net: &Network<'_>,
     views: &[TreeView],
@@ -401,13 +422,10 @@ pub fn gather_register(
 ) -> Result<(Register, RunStats), RuntimeError> {
     let chunk = (net.cap_bits().saturating_sub(1)).clamp(1, 64);
     let root = views.iter().position(|v| v.parent.is_none()).expect("tree has a root");
-    let run = net.run(GatherRegisterProtocol::instances(views, regs, chunk))?;
-    debug_assert!(run.nodes.iter().all(|p| !p.mismatch()), "uncompute mismatch");
-    Ok((run.nodes[root].register().clone(), run.stats))
+    let mut run = net.run(GatherRegisterProtocol::instances(views, regs, chunk))?;
+    assert!(run.nodes.iter().all(|p| !p.mismatch()), "uncompute mismatch");
+    Ok((run.nodes.swap_remove(root).into_register(), run.stats))
 }
-
-/// The queue used by pipelined fan-in/fan-out protocols; exported for reuse.
-pub type ChunkQueue = VecDeque<Chunk>;
 
 #[cfg(test)]
 mod tests {
@@ -533,5 +551,16 @@ mod tests {
             distribute_register(&net, &tree.views, reg.clone(), Schedule::Pipelined).unwrap();
         assert_eq!(copies[0], reg);
         assert_eq!(stats.rounds, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "uncompute mismatch")]
+    fn gather_rejects_a_wrong_copy() {
+        let g = path(5);
+        let net = Network::new(&g);
+        let tree = build_bfs_tree(&net, 0).unwrap();
+        let mut regs = vec![Register::from_value(16, 0x1234); 5];
+        regs[3] = Register::from_value(16, 0x1235);
+        let _ = gather_register(&net, &tree.views, regs);
     }
 }

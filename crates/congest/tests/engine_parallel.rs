@@ -95,7 +95,7 @@ fn aggregate_matches_sequential_everywhere() {
             assert_engines_agree(&format!("aggregate/{name}"), &g, |net| {
                 AggregateBatchProtocol::instances(
                     &views,
-                    &values,
+                    values.clone(),
                     q,
                     CommOp::Sum,
                     (net.cap_bits() - 1).min(64),
@@ -291,7 +291,7 @@ mod differential {
                 // Chunk headers cost 2 bits, so payload chunks get cap - 2.
                 AggregateBatchProtocol::instances(
                     &views,
-                    &values,
+                    values.clone(),
                     q,
                     CommOp::Sum,
                     (net.cap_bits() - 2).min(64),

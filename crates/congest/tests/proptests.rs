@@ -93,7 +93,7 @@ proptest! {
             .collect();
         let net = Network::new(&g);
         let tree = build_bfs_tree(&net, 0).unwrap();
-        let agg = aggregate_batch(&net, &tree.views, &values, q, op).unwrap();
+        let agg = aggregate_batch(&net, &tree.views, values.clone(), q, op).unwrap();
         for i in 0..p {
             let want = op.fold(values.iter().map(|v| v[i]));
             prop_assert_eq!(agg.values[i], want);

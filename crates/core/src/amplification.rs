@@ -78,7 +78,7 @@ fn iterate_cost(
     // Reflection through |ψ⟩: local all-zero checks AND-converge to the
     // leader (one 1-bit value per node).
     let ones: Vec<Vec<u64>> = vec![vec![1u64]; net.graph().n()];
-    let agg = aggregate_batch(net, &tree.views, &ones, 1, CommOp::And)?;
+    let agg = aggregate_batch(net, &tree.views, ones, 1, CommOp::And)?;
     ledger.record("iterate/zero-check-and", agg.stats);
     debug_assert_eq!(agg.values[0], 1);
     Ok(())

@@ -313,7 +313,7 @@ pub fn quantum_cycle_detection(
         let run = net.run(BoundedFloodProtocol::instances(n, &sources, &participants, delta))?;
         ledger.record("light/flood", run.stats);
         let detections: Vec<Vec<u64>> = run.nodes.iter().map(|p| vec![p.detected()]).collect();
-        let agg = aggregate_batch(net, &tree.views, &detections, 63, CommOp::Min)?;
+        let agg = aggregate_batch(net, &tree.views, detections, 63, CommOp::Min)?;
         ledger.record("light/min-convergecast", agg.stats);
         best_light = agg.values[0];
     }
@@ -367,7 +367,7 @@ pub fn classical_cycle_detection(
     let run = net.run(BoundedFloodProtocol::instances(n, &sources, &participants, delta))?;
     ledger.record("flood", run.stats);
     let detections: Vec<Vec<u64>> = run.nodes.iter().map(|p| vec![p.detected()]).collect();
-    let agg = aggregate_batch(net, &tree.views, &detections, 63, CommOp::Min)?;
+    let agg = aggregate_batch(net, &tree.views, detections, 63, CommOp::Min)?;
     ledger.record("min-convergecast", agg.stats);
     let best = agg.values[0];
     let length = if best <= k as u64 { Some(best as usize) } else { None };

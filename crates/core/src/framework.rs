@@ -86,7 +86,13 @@ impl StoredValues {
         let k = local[0].len();
         assert!(k > 0, "need at least one index");
         assert!(local.iter().all(|v| v.len() == k), "unequal local vector lengths");
-        let truth: Vec<u64> = (0..k).map(|i| op.fold(local.iter().map(|v| v[i]))).collect();
+        // Row by row: each index still folds nodes 0..n in order.
+        let mut truth = vec![op.identity(); k];
+        for row in &local {
+            for (t, &x) in truth.iter_mut().zip(row) {
+                *t = op.combine(*t, x);
+            }
+        }
         for &t in &truth {
             assert!(q == 64 || t < (1u64 << q), "aggregate {t} exceeds q = {q} bits");
         }
@@ -300,7 +306,7 @@ impl<'g, P: ValueProvider> BatchSource for CongestOracle<'g, P> {
         let agg = aggregate_batch(
             self.net,
             &self.tree.views,
-            &values,
+            values,
             self.provider.q(),
             self.provider.op(),
         )
