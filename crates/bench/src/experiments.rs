@@ -11,7 +11,7 @@ use crate::table::{loglog_slope, Table};
 use congest::generators::{
     cycle_with_body, double_star, dumbbell, grid, path, random_connected_m, random_tree,
 };
-use congest::graph::Graph;
+use congest::graph::{Dist, Graph};
 use congest::runtime::Network;
 use congest::tree_comm::{distribute_register, Register, Schedule};
 use dqc_core::amplification::{amplitude_amplification, PreparationSubroutine};
@@ -25,6 +25,7 @@ use dqc_core::distinctness::{
 };
 use dqc_core::eccentricity::{
     classical_diameter_radius, quantum_average_eccentricity, quantum_diameter, quantum_radius,
+    EccExtremeResult,
 };
 use dqc_core::estimation::{distributed_amplitude_estimation, distributed_phase_estimation};
 use dqc_core::exact::{exact_distribute_roundtrip, exact_distributed_dj};
@@ -532,19 +533,34 @@ pub fn e9_diameter_radius(scale: Scale) -> Table {
         Scale::Quick => &[100, 200, 400],
         Scale::Full => &[100, 200, 400, 800, 1600, 3200],
     };
+    use E9Cell::{Classical, Quantum, Truth};
+    // One cell per (n, driver), largest n first so the longest cells start
+    // first; every driver has a fixed seed, so the schedule cannot change
+    // a row.
+    let drivers: [fn(&Graph) -> E9Cell; 4] = [
+        |g| {
+            // One centralized APSP gives both ground truths.
+            let ecc = g.eccentricities().expect("connected");
+            Truth(*ecc.iter().max().expect("n >= 1"), *ecc.iter().min().expect("n >= 1"))
+        },
+        |g| Quantum(quantum_diameter(&Network::new(g), 9).expect("quantum diameter")),
+        |g| Quantum(quantum_radius(&Network::new(g), 9).expect("quantum radius")),
+        |g| {
+            let (cd, cr, rounds, _) =
+                classical_diameter_radius(&Network::new(g), 9).expect("classical");
+            Classical(cd, cr, rounds)
+        },
+    ];
+    let cells: Vec<_> = ns.iter().rev().flat_map(|&n| drivers.map(|run| (n, run))).collect();
+    let results = parallel_cells(&cells, |_, &(n, run)| run(&sized_graph(n, n as u64)));
     let mut fits = Vec::new();
     let mut qcurve = Vec::new();
     let mut ccurve = Vec::new();
-    for &n in ns {
-        let g = sized_graph(n, n as u64);
-        let net = Network::new(&g);
-        // One centralized APSP gives both ground truths.
-        let ecc = g.eccentricities().expect("connected");
-        let d = *ecc.iter().max().expect("n >= 1");
-        let radius = *ecc.iter().min().expect("n >= 1");
-        let q = quantum_diameter(&net, 9).expect("quantum diameter");
-        let r = quantum_radius(&net, 9).expect("quantum radius");
-        let (cd, cr, c_rounds, _) = classical_diameter_radius(&net, 9).expect("classical");
+    for (&n, row) in ns.iter().zip(results.chunks_exact(drivers.len()).rev()) {
+        let &[Truth(d, radius), Quantum(ref q), Quantum(ref r), Classical(cd, cr, c_rounds)] = row
+        else {
+            unreachable!("one result per driver, in driver order");
+        };
         assert_eq!(cd, d);
         assert_eq!(cr, radius);
         let ub = dqc_core::eccentricity::quantum_upper_bound(n, d as usize);
@@ -574,6 +590,16 @@ pub fn e9_diameter_radius(scale: Scale) -> Table {
         ));
     }
     t
+}
+
+/// The result of one E9 cell.
+enum E9Cell {
+    /// Centralized ground truth: `(diameter, radius)`.
+    Truth(Dist, Dist),
+    /// A quantum diameter or radius run.
+    Quantum(EccExtremeResult),
+    /// The classical baseline: `(diameter, radius, rounds)`.
+    Classical(Dist, Dist, usize),
 }
 
 /// Extrapolate where two log-log-linear curves intersect (the crossover
@@ -837,31 +863,6 @@ pub fn e14_exact_mode(_scale: Scale) -> Table {
     }
     t.note("nothing emulated here: the full protocol runs on a global statevector");
     t
-}
-
-/// Run every experiment at the given scale, in order.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_distribute(scale),
-        e2_parallel_grover(scale),
-        e3_parallel_minimum(scale),
-        e4_parallel_distinctness(scale),
-        e5_parallel_mean(scale),
-        e6_meeting_scheduling(scale),
-        e7_distinctness(scale),
-        e8_deutsch_jozsa(scale),
-        e9_diameter_radius(scale),
-        e10_average_eccentricity(scale),
-        e11_cycle_detection(scale),
-        e12_girth(scale),
-        e13_non_oracle(scale),
-        e14_exact_mode(scale),
-        e15_batch_width_ablation(scale),
-        e16_bandwidth_ablation(scale),
-        e17_boosting(scale),
-        e18_extensions(scale),
-        e19_fault_tolerance(scale),
-    ]
 }
 
 /// The experiment suite: `(id, one-line description)` for every id
@@ -1150,7 +1151,7 @@ pub fn e18_extensions(scale: Scale) -> Table {
 /// drop rate and compare each protocol's fault-free round count against
 /// its `Reliable`-wrapped run under loss; correctness must hold at every
 /// rate and the ack/retry overhead stay bounded. The note records the
-/// conformance/differential sweep: every cell audited under both engines.
+/// conformance sweep: every cell audited and checked for correctness.
 pub fn e19_fault_tolerance(scale: Scale) -> Table {
     use crate::harness::bfs_tree_is_valid;
     use congest::bfs::BfsTreeProtocol;
@@ -1260,13 +1261,12 @@ pub fn e19_fault_tolerance(scale: Scale) -> Table {
             ]);
         }
     }
-    let cells = crate::harness::differential_grid(19);
+    let cells = crate::harness::conformance_grid(19);
     let violations: usize = cells.iter().map(|c| c.violations).sum();
-    let max_delta = cells.iter().map(|c| c.rounds_delta.abs()).max().unwrap_or(0);
     let all_correct = cells.iter().all(|c| c.correct);
     t.note(format!(
-        "differential sweep: {} cells ({{Sequential, Parallel}} × {{fault-free, faulted}}), \
-         {violations} conformance violations, max engine rounds delta {max_delta}, all correct: {all_correct}",
+        "conformance sweep: {} audited cells ({{flood, bfs, broadcast}} × 4 graphs × \
+         {{fault-free, faulted}}), {violations} conformance violations, all correct: {all_correct}",
         cells.len()
     ));
     t

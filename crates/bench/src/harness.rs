@@ -1,12 +1,15 @@
-//! Thread fan-out for trial grids.
+//! Thread fan-out for independent experiment cells.
 //!
-//! Several experiments (E2–E5) average dozens of independent trials per
-//! parameter cell. [`parallel_cells`] spreads the cells of such a grid
-//! across worker threads while keeping the output — and every random
-//! stream — byte-identical to a sequential sweep: each cell derives its
-//! own RNG seed from the experiment's master seed via [`cell_seed`], so no
-//! cell ever observes another cell's position in a shared stream, and
-//! results are collected back in cell order.
+//! Several experiments run independent cells: E2–E5 average dozens of
+//! trials per parameter cell, and E9 runs one cell per (size, driver).
+//! [`parallel_cells`] spreads such cells across worker threads while
+//! keeping the output — and every random stream — byte-identical to a
+//! sequential sweep: each cell derives its own RNG seed from the
+//! experiment's master seed via [`cell_seed`], so no cell ever observes
+//! another cell's position in a shared stream, and results are collected
+//! back in cell order.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Derive the RNG seed of cell `cell` from an experiment's `master` seed.
 ///
@@ -27,7 +30,9 @@ pub fn cell_seed(master: u64, cell: usize) -> u64 {
 /// Apply `f` to every input cell, fanning the cells out over the host's
 /// cores, and return the results in cell order.
 ///
-/// `f` receives the cell's index (for [`cell_seed`]) and its input. With a
+/// `f` receives the cell's index (for [`cell_seed`]) and its input. Idle
+/// workers take the next unstarted cell in input order, so listing the
+/// most expensive cells first keeps the slowest worker short. With a
 /// single core, or a single cell, this degenerates to a plain sequential
 /// map — the output is identical either way.
 pub fn parallel_cells<I, T, F>(inputs: &[I], f: F) -> Vec<T>
@@ -41,26 +46,33 @@ where
     if threads <= 1 {
         return inputs.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let chunk = inputs.len().div_ceil(threads);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(inputs.len(), || None);
-    std::thread::scope(|s| {
-        for (t, (in_chunk, out_chunk)) in
-            inputs.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            let f = &f;
-            s.spawn(move || {
-                for (i, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(t * chunk + i, x));
-                }
-            });
-        }
+    // The counter only hands out indices; results come back through
+    // `join`, which orders them, so `Relaxed` is enough.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(x) = inputs.get(i) else { return out };
+                        out.push((i, f(i, x)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-    out.into_iter().map(|o| o.expect("every cell chunk was processed")).collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 // ---------------------------------------------------------------------
-// Differential runner: {Sequential, Parallel} × {fault-free, faulted}.
+// Conformance grid: protocols × topologies × {fault-free, faulted}.
 // ---------------------------------------------------------------------
 
 use congest::bfs::BfsTreeProtocol;
@@ -68,62 +80,52 @@ use congest::conformance::{check_protocol, FloodProtocol};
 use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::{grid, path, random_connected_m, star};
 use congest::graph::{Dist, Graph, NodeId};
-use congest::runtime::{EngineMode, Network, NodeProtocol};
+use congest::runtime::{Network, NodeProtocol};
 use congest::tree_comm::{BroadcastRegisterProtocol, Register, Schedule};
 
-/// One cell of the differential grid: a protocol on a topology executed
-/// under `{Sequential, Parallel} × {fault-free, faulted}` with full
-/// conformance auditing.
+/// One cell of the conformance grid: a protocol on a topology, fault-free
+/// or faulted, executed with full conformance auditing.
 #[derive(Debug, Clone)]
-pub struct DiffCell {
+pub struct ConformanceCell {
     /// Protocol family ("flood", "bfs", "broadcast").
     pub protocol: String,
     /// Topology label.
     pub graph: String,
     /// Whether a fault plan (drops + delays) was active.
     pub faulted: bool,
-    /// Measured rounds of the sequential reference run.
+    /// Measured rounds of the audited run.
     pub rounds: usize,
-    /// Parallel rounds minus sequential rounds (0 when the engines agree).
-    pub rounds_delta: i64,
     /// Messages lost to injected faults.
     pub dropped: u64,
-    /// Conformance violations found (model breaches, accounting
-    /// inconsistencies, engine divergences).
+    /// Conformance violations found (model breaches and accounting
+    /// inconsistencies).
     pub violations: usize,
     /// Whether the protocol's own correctness condition held.
     pub correct: bool,
 }
 
-/// Run one protocol under both engines with conformance auditing and the
-/// protocol's own correctness oracle.
-fn diff_cell<P, F, C>(
+/// Run one protocol with conformance auditing and the protocol's own
+/// correctness oracle.
+fn conformance_cell<P, F, C>(
     protocol: &str,
     graph: &str,
     faulted: bool,
     net: &Network<'_>,
     make: F,
     ok: C,
-) -> DiffCell
+) -> ConformanceCell
 where
-    P: NodeProtocol + Send + std::fmt::Debug,
-    P::Msg: Send + Sync,
-    F: Fn() -> Vec<P>,
+    P: NodeProtocol,
+    F: FnOnce() -> Vec<P>,
     C: Fn(&[P]) -> bool,
 {
-    let checked = check_protocol(net, 4, &make)
+    let checked = check_protocol(net, make)
         .unwrap_or_else(|e| panic!("{protocol}/{graph} (faulted={faulted}): {e}"));
-    let par = net
-        .clone()
-        .with_engine(EngineMode::Parallel { threads: 4 })
-        .run(make())
-        .unwrap_or_else(|e| panic!("{protocol}/{graph} parallel (faulted={faulted}): {e}"));
-    DiffCell {
+    ConformanceCell {
         protocol: protocol.to_string(),
         graph: graph.to_string(),
         faulted,
         rounds: checked.run.stats.rounds,
-        rounds_delta: par.stats.rounds as i64 - checked.run.stats.rounds as i64,
         dropped: checked.report.stats.dropped,
         violations: checked.report.violations.len(),
         correct: ok(&checked.run.nodes),
@@ -154,10 +156,11 @@ pub fn bfs_tree_is_valid(
     })
 }
 
-/// The differential grid: {flood, BFS, broadcast} × four topologies ×
-/// {fault-free, faulted}, every cell audited for conformance and engine
-/// agreement. `seed` drives both the random topology and the fault plans.
-pub fn differential_grid(seed: u64) -> Vec<DiffCell> {
+/// The conformance grid: {flood, BFS, broadcast} × four topologies ×
+/// {fault-free, faulted}, every cell audited for conformance and checked
+/// for correctness. `seed` drives both the random topology and the fault
+/// plans.
+pub fn conformance_grid(seed: u64) -> Vec<ConformanceCell> {
     let topologies: Vec<(String, Graph)> = vec![
         ("path(24)".into(), path(24)),
         ("grid(6x5)".into(), grid(6, 5)),
@@ -178,7 +181,7 @@ pub fn differential_grid(seed: u64) -> Vec<DiffCell> {
         let faulted = Network::new(g).with_faults(plan);
         let views = congest::bfs::build_bfs_tree(&clean, 0).expect("connected").views;
 
-        cells.push(diff_cell(
+        cells.push(conformance_cell(
             "flood",
             gname,
             false,
@@ -186,7 +189,7 @@ pub fn differential_grid(seed: u64) -> Vec<DiffCell> {
             || FloodProtocol::instances(g.n(), 0),
             |ns| ns.iter().all(|f| f.has_token),
         ));
-        cells.push(diff_cell(
+        cells.push(conformance_cell(
             "flood",
             gname,
             true,
@@ -195,7 +198,7 @@ pub fn differential_grid(seed: u64) -> Vec<DiffCell> {
             |ns| ns.iter().all(|r| r.inner().has_token),
         ));
 
-        cells.push(diff_cell(
+        cells.push(conformance_cell(
             "bfs",
             gname,
             false,
@@ -203,7 +206,7 @@ pub fn differential_grid(seed: u64) -> Vec<DiffCell> {
             || BfsTreeProtocol::instances(g.n(), 0),
             |ns| bfs_tree_is_valid(g, 0, &bfs_outcome(ns)),
         ));
-        cells.push(diff_cell(
+        cells.push(conformance_cell(
             "bfs",
             gname,
             true,
@@ -216,7 +219,7 @@ pub fn differential_grid(seed: u64) -> Vec<DiffCell> {
             },
         ));
 
-        cells.push(diff_cell(
+        cells.push(conformance_cell(
             "broadcast",
             gname,
             false,
@@ -231,7 +234,7 @@ pub fn differential_grid(seed: u64) -> Vec<DiffCell> {
             },
             |ns| ns.iter().all(|p| p.register() == &reg),
         ));
-        cells.push(diff_cell(
+        cells.push(conformance_cell(
             "broadcast",
             gname,
             true,
@@ -298,18 +301,13 @@ mod tests {
     }
 
     #[test]
-    fn differential_grid_is_clean_and_deterministic() {
-        let cells = differential_grid(5);
+    fn conformance_grid_is_clean_and_deterministic() {
+        let cells = conformance_grid(5);
         assert_eq!(cells.len(), 4 * 3 * 2);
         for c in &cells {
             assert_eq!(
                 c.violations, 0,
                 "{}/{} (faulted={}) had violations",
-                c.protocol, c.graph, c.faulted
-            );
-            assert_eq!(
-                c.rounds_delta, 0,
-                "{}/{} (faulted={}) engines diverged",
                 c.protocol, c.graph, c.faulted
             );
             assert!(c.correct, "{}/{} (faulted={}) incorrect", c.protocol, c.graph, c.faulted);
@@ -319,8 +317,9 @@ mod tests {
         }
         assert!(cells.iter().filter(|c| c.faulted).any(|c| c.dropped > 0));
         // Replays are byte-identical.
-        let replay = differential_grid(5);
-        let key = |cs: &[DiffCell]| cs.iter().map(|c| (c.rounds, c.dropped)).collect::<Vec<_>>();
+        let replay = conformance_grid(5);
+        let key =
+            |cs: &[ConformanceCell]| cs.iter().map(|c| (c.rounds, c.dropped)).collect::<Vec<_>>();
         assert_eq!(key(&cells), key(&replay));
     }
 

@@ -13,5 +13,5 @@ pub mod harness;
 pub mod table;
 pub mod telemetry;
 
-pub use experiments::{catalog, run_all, run_one, Scale};
+pub use experiments::{catalog, run_one, Scale};
 pub use table::Table;

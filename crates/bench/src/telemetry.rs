@@ -73,11 +73,8 @@ fn with_qsim_metrics(col: &mut Collector, work: impl FnOnce()) {
 
 /// Telemetry for one experiment id (`"e1"`..`"e19"`, case-insensitive) at
 /// `scale`; `None` for unknown ids. Deterministic: same id + scale → the
-/// same collector contents, byte-identical exports across [`EngineMode`]s
-/// (the engines merge per-lane telemetry in node order — see the
+/// same collector contents and byte-identical exports (see the
 /// `congest::telemetry` module docs).
-///
-/// [`EngineMode`]: congest::runtime::EngineMode
 ///
 /// # Panics
 ///

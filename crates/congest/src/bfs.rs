@@ -13,7 +13,7 @@
 //!   `O(|S| + D)` rounds, completing Lemma 20.
 
 use crate::graph::{bits_for, Dist, Graph, NodeId};
-use crate::runtime::{Ctx, MessageSize, Network, NodeProtocol, Run, RunStats, RuntimeError};
+use crate::runtime::{Ctx, MessageSize, Network, NodeProtocol, RunStats, RuntimeError};
 use std::collections::BTreeSet;
 
 /// A node's local view of a spanning tree: its parent (None at the root)
@@ -155,7 +155,7 @@ pub struct BfsTree {
 /// protocol can never finish there).
 pub fn build_bfs_tree(net: &Network<'_>, root: NodeId) -> Result<BfsTree, RuntimeError> {
     let n = net.graph().n();
-    let run: Run<BfsTreeProtocol> = net.run(BfsTreeProtocol::instances(n, root))?;
+    let run = net.run(BfsTreeProtocol::instances(n, root))?;
     let views: Vec<TreeView> = run.nodes.iter().map(|p| p.tree_view()).collect();
     let dist: Vec<Dist> = run.nodes.iter().map(|p| p.dist().unwrap_or(Dist::MAX)).collect();
     let depth = dist.iter().copied().max().unwrap_or(0);
@@ -263,7 +263,7 @@ pub struct MultiBfs {
 /// Propagates [`RuntimeError`].
 pub fn multi_source_bfs(net: &Network<'_>, sources: &[NodeId]) -> Result<MultiBfs, RuntimeError> {
     let n = net.graph().n();
-    let run: Run<MultiBfsProtocol> = net.run(MultiBfsProtocol::instances(n, sources))?;
+    let run = net.run(MultiBfsProtocol::instances(n, sources))?;
     Ok(MultiBfs {
         dist: run.nodes.iter().map(|p| p.distances().to_vec()).collect(),
         stats: run.stats,

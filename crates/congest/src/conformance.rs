@@ -1,4 +1,4 @@
-//! Model-conformance checking: audited runs and a cross-engine oracle.
+//! Model-conformance checking: audited runs and accounting identities.
 //!
 //! The CONGEST results of the paper (Lemma 7, Theorem 8, …) are only as
 //! trustworthy as the simulator's enforcement of the model contract. This
@@ -10,10 +10,7 @@
 //! * **round accounting** — the per-round trace is monotone and consistent
 //!   with the aggregate statistics (`rounds` equals the number of recorded
 //!   rounds, per-round message/bit/drop counts sum to the totals, and the
-//!   busiest recorded edge never exceeds the observed maximum);
-//! * **engine agreement** — [`EngineMode::Sequential`] and
-//!   [`EngineMode::Parallel`] produce bit-identical statistics, traces, and
-//!   final node states for the same protocol and seed.
+//!   busiest recorded edge never exceeds the observed maximum).
 //!
 //! Where the plain engine *aborts* on the first contract breach, an audited
 //! run ([`Exec::audited`](crate::runtime::Exec::audited))
@@ -23,7 +20,7 @@
 
 use crate::graph::NodeId;
 use crate::runtime::{
-    Ctx, EngineMode, MessageSize, Network, NodeProtocol, Run, RunStats, RuntimeError, Trace,
+    Ctx, MessageSize, Network, NodeProtocol, RunOutput, RunStats, RuntimeError, Trace,
 };
 use std::fmt;
 
@@ -61,11 +58,6 @@ pub enum Violation {
         /// The value implied by the trace.
         got: u64,
     },
-    /// The sequential and parallel engines disagreed on an observable.
-    EngineDivergence {
-        /// Which observable diverged ("stats", "trace", "node states", …).
-        field: &'static str,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -80,9 +72,6 @@ impl fmt::Display for Violation {
             Violation::TraceInconsistent { field, expected, got } => {
                 write!(f, "trace inconsistent: {field} is {got}, stats imply {expected}")
             }
-            Violation::EngineDivergence { field } => {
-                write!(f, "sequential and parallel engines disagree on {field}")
-            }
         }
     }
 }
@@ -91,9 +80,9 @@ impl fmt::Display for Violation {
 #[derive(Debug, Clone)]
 pub struct ConformanceReport {
     /// Every violation found, in detection order (audited model breaches
-    /// first, then trace inconsistencies, then engine divergences).
+    /// first, then trace inconsistencies).
     pub violations: Vec<Violation>,
-    /// Statistics of the audited sequential run.
+    /// Statistics of the audited run.
     pub stats: RunStats,
 }
 
@@ -116,16 +105,14 @@ impl ConformanceReport {
     }
 }
 
-/// A fully checked run: the report plus the sequential run's outputs, so
-/// callers can additionally assert protocol-level correctness.
+/// A fully checked run: the report plus the run's outputs, so callers can
+/// additionally assert protocol-level correctness.
 #[derive(Debug)]
 pub struct Checked<P> {
     /// The conformance findings.
     pub report: ConformanceReport,
-    /// The audited sequential run (final node states and statistics).
-    pub run: Run<P>,
-    /// The audited sequential run's per-round trace.
-    pub trace: Trace,
+    /// The audited run: final node states, statistics, and per-round trace.
+    pub run: RunOutput<P, Trace>,
 }
 
 /// Check the trace/statistics accounting identities of one audited run.
@@ -162,52 +149,29 @@ pub fn validate_trace(stats: &RunStats, trace: &Trace, cap: u64) -> Vec<Violatio
     out
 }
 
-/// Run `make()`'s protocol under both engines with full auditing and return
-/// every violation found: model breaches (with round/edge provenance),
-/// accounting inconsistencies, and any observable divergence between the
-/// sequential reference and a `threads`-worker parallel run.
+/// Run `make()`'s protocol once, traced and fully audited, and return
+/// every violation found: model breaches (with round/edge provenance) and
+/// accounting inconsistencies between the trace and the statistics.
 ///
 /// The network's fault plan, bandwidth, and round limit apply as
-/// configured; its [`EngineMode`] is overridden per run.
+/// configured.
 ///
 /// # Errors
 ///
 /// Propagates hard runtime errors (wrong node count, round-limit or
-/// retry-budget exhaustion) from either engine. Model breaches do *not*
-/// error here — they are the violations being collected.
-pub fn check_protocol<P, F>(
-    net: &Network<'_>,
-    threads: usize,
-    make: F,
-) -> Result<Checked<P>, RuntimeError>
+/// retry-budget exhaustion). Model breaches do *not* error here — they are
+/// the violations being collected.
+pub fn check_protocol<P, F>(net: &Network<'_>, make: F) -> Result<Checked<P>, RuntimeError>
 where
-    P: NodeProtocol + Send + fmt::Debug,
-    P::Msg: Send + Sync,
-    F: Fn() -> Vec<P>,
+    P: NodeProtocol,
+    F: FnOnce() -> Vec<P>,
 {
-    let seq_net = net.clone().with_engine(EngineMode::Sequential);
-    let seq = seq_net.exec(make()).traced().audited().run()?;
-    let par_net = net.clone().with_engine(EngineMode::Parallel { threads: threads.max(2) });
-    let par = par_net.exec(make()).traced().audited().run()?;
-
-    let mut violations = seq.violations.clone();
-    violations.extend(validate_trace(&seq.stats, &seq.trace, net.cap_bits()));
-    if par.stats != seq.stats {
-        violations.push(Violation::EngineDivergence { field: "stats" });
-    }
-    if par.trace.rounds != seq.trace.rounds {
-        violations.push(Violation::EngineDivergence { field: "trace" });
-    }
-    if format!("{:?}", par.nodes) != format!("{:?}", seq.nodes) {
-        violations.push(Violation::EngineDivergence { field: "node states" });
-    }
-    if par.violations != seq.violations {
-        violations.push(Violation::EngineDivergence { field: "audit findings" });
-    }
+    let out = net.exec(make()).traced().audited().run()?;
+    let mut violations = out.violations;
+    violations.extend(validate_trace(&out.stats, &out.trace, net.cap_bits()));
     Ok(Checked {
-        report: ConformanceReport { violations, stats: seq.stats },
-        run: Run { nodes: seq.nodes, stats: seq.stats },
-        trace: seq.trace,
+        report: ConformanceReport { violations, stats: out.stats },
+        run: RunOutput { nodes: out.nodes, stats: out.stats, trace: out.trace, violations: () },
     })
 }
 
@@ -269,8 +233,7 @@ mod tests {
     fn flood_probe_is_clean_everywhere() {
         for g in [path(12), grid(4, 5)] {
             let net = Network::new(&g);
-            let checked =
-                check_protocol(&net, 3, || FloodProtocol::instances(g.n(), 0)).expect("run");
+            let checked = check_protocol(&net, || FloodProtocol::instances(g.n(), 0)).expect("run");
             assert!(checked.report.is_clean(), "{}", checked.report.render());
             assert!(checked.run.nodes.iter().all(|f| f.has_token));
             assert_eq!(checked.report.render(), "conformance: clean");
@@ -282,17 +245,17 @@ mod tests {
         let g = path(5);
         let net = Network::new(&g);
         let out = net.exec(FloodProtocol::instances(5, 0)).traced().audited().run().expect("run");
-        let (run, mut trace) = (Run { nodes: out.nodes, stats: out.stats }, out.trace);
-        assert!(validate_trace(&run.stats, &trace, net.cap_bits()).is_empty());
+        let (stats, mut trace) = (out.stats, out.trace);
+        assert!(validate_trace(&stats, &trace, net.cap_bits()).is_empty());
         // Tamper with the trace: each identity must catch its breach.
         let mut miscounted = trace.clone();
         miscounted.rounds[0].messages += 1;
-        let found = validate_trace(&run.stats, &miscounted, net.cap_bits());
+        let found = validate_trace(&stats, &miscounted, net.cap_bits());
         assert!(found
             .iter()
             .any(|v| matches!(v, Violation::TraceInconsistent { field: "message total", .. })));
         trace.rounds.pop();
-        let found = validate_trace(&run.stats, &trace, net.cap_bits());
+        let found = validate_trace(&stats, &trace, net.cap_bits());
         assert!(found
             .iter()
             .any(|v| matches!(v, Violation::TraceInconsistent { field: "recorded rounds", .. })));

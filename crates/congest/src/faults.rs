@@ -13,10 +13,8 @@
 //!
 //! Every fault decision is a pure hash of
 //! `(plan seed, round, from, to, outbox index)` — there is no sequential RNG
-//! stream to advance — so the schedule is a function of the traffic alone.
-//! Because the sequential and parallel engines present each sender's outbox
-//! in the same order, the same seed yields bit-identical faulted runs on
-//! both engines, and replaying a run reproduces it exactly.
+//! stream to advance — so the schedule is a function of the traffic alone,
+//! and replaying a run with the same seed reproduces it exactly.
 //!
 //! # Loss tolerance
 //!
@@ -187,7 +185,7 @@ impl FaultPlan {
 
     /// One message's fate: a pure hash of the plan seed and the message's
     /// coordinates (`round`, sender, receiver, position in the sender's
-    /// outbox), identical across engines and replays.
+    /// outbox), identical across replays.
     pub(crate) fn decide(&self, round: usize, from: NodeId, to: NodeId, idx: usize) -> Delivery {
         if self.drop_rate > 0.0 {
             let h = self.hash(0xD20B, round, from, to, idx);
@@ -593,10 +591,7 @@ mod tests {
         let g = path(6);
         let net = Network::new(&g);
         let run = net
-            .run_sequential(Reliable::wrap_all(
-                FloodProtocol::instances(6, 0),
-                RetryConfig::default(),
-            ))
+            .run(Reliable::wrap_all(FloodProtocol::instances(6, 0), RetryConfig::default()))
             .expect("clean reliable flood");
         assert!(run.nodes.iter().all(|r| r.inner().has_token));
         assert_eq!(run.stats.dropped, 0);

@@ -21,8 +21,8 @@
 //!   degraded links, delays) and the [`Reliable`](faults::Reliable)
 //!   ack/retry wrapper for loss tolerance;
 //! * [`conformance`] — audited runs that report every model-contract
-//!   breach with round/edge provenance, plus a cross-engine differential
-//!   checker;
+//!   breach with round/edge provenance, plus trace/statistics accounting
+//!   checks;
 //! * [`telemetry`] — structured, deterministic run telemetry: hierarchical
 //!   spans on the round timebase, counters/histograms, per-edge load, and
 //!   Perfetto-compatible trace export.

@@ -9,12 +9,10 @@
 //!
 //! Determinism: the engine itself is deterministic; protocols that need
 //! randomness own a seeded RNG, so a whole run is reproducible from its
-//! seeds. The parallel engine ([`EngineMode`]) preserves this bit for bit:
-//! nodes are partitioned into contiguous [`NodeId`] chunks, each worker
-//! processes its chunk in id order, and the per-chunk results (outgoing
-//! messages, statistics, first error) are merged back in chunk order — so
-//! every observable output equals the sequential engine's. See
-//! `DESIGN.md`, "Engine internals".
+//! seeds. Each round calls every node in [`NodeId`] order on one thread and
+//! routes each sender's outbox as soon as its `on_round` returns, so inbox
+//! order, statistics, traces, and the first error of a failing run are all
+//! fixed by node order alone. See `DESIGN.md`, "Engine internals".
 
 use crate::conformance::Violation;
 use crate::faults::{Delivery, FaultPlan};
@@ -295,15 +293,6 @@ impl RunStats {
     }
 }
 
-/// The result of a completed run: the final node states plus statistics.
-#[derive(Debug)]
-pub struct Run<P> {
-    /// Final per-node protocol states, indexed by [`NodeId`].
-    pub nodes: Vec<P>,
-    /// Measured statistics.
-    pub stats: RunStats,
-}
-
 /// Per-round record of a traced run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTrace {
@@ -413,32 +402,19 @@ impl Trace {
     }
 }
 
-/// How the engine executes each round's `on_round` calls.
+/// The engine's execution mode.
 ///
-/// All modes produce bit-identical results (statistics, traces, final node
-/// states, and the first error of a failing run); the mode only chooses how
-/// the work is scheduled onto OS threads.
+/// Kept only because the `perfbench/` benchmark calls
+/// `Network::new(g).with_engine(EngineMode::Sequential)`. The engine has a
+/// single round loop, so this enum has a single variant and
+/// [`Network::with_engine`] does nothing. Both go with the next change to
+/// `perfbench/`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Parallelize when the network is large enough to amortize the
-    /// per-round thread fan-out ([`PARALLEL_NODE_THRESHOLD`] nodes) and the
-    /// host has more than one core; otherwise run sequentially.
+    /// The single-threaded round loop, the only one there is.
     #[default]
-    Auto,
-    /// Always run the single-threaded engine.
     Sequential,
-    /// Always fan out across `threads` workers (clamped to at least 1).
-    Parallel {
-        /// Number of worker threads per round.
-        threads: usize,
-    },
 }
-
-/// Minimum node count at which [`EngineMode::Auto`] parallelizes.
-///
-/// Below this, a round's work is comparable to the cost of spawning the
-/// scoped worker threads, so the sequential engine wins.
-pub const PARALLEL_NODE_THRESHOLD: usize = 256;
 
 /// A CONGEST network: a topology plus execution parameters.
 ///
@@ -457,7 +433,6 @@ pub struct Network<'g> {
     graph: &'g Graph,
     cap_bits: u64,
     max_rounds: usize,
-    engine: EngineMode,
     faults: Option<FaultPlan>,
 }
 
@@ -473,13 +448,7 @@ impl<'g> Network<'g> {
     /// (`4⌈log₂ n⌉` bits) and a generous round limit.
     pub fn new(graph: &'g Graph) -> Self {
         let cap = DEFAULT_BANDWIDTH_FACTOR * bits_for(graph.n().saturating_sub(1) as u64);
-        Network {
-            graph,
-            cap_bits: cap,
-            max_rounds: 1_000_000,
-            engine: EngineMode::Auto,
-            faults: None,
-        }
+        Network { graph, cap_bits: cap, max_rounds: 1_000_000, faults: None }
     }
 
     /// Override the per-edge per-round bandwidth cap.
@@ -499,15 +468,10 @@ impl<'g> Network<'g> {
         self
     }
 
-    /// Select how rounds are executed (default: [`EngineMode::Auto`]).
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
+    /// Does nothing. Kept only because the `perfbench/` benchmark calls
+    /// `with_engine(EngineMode::Sequential)`; see [`EngineMode`].
+    pub fn with_engine(self, _engine: EngineMode) -> Self {
         self
-    }
-
-    /// The configured execution mode.
-    pub fn engine(&self) -> EngineMode {
-        self.engine
     }
 
     /// Attach a deterministic fault plan; subsequent runs inject its drops,
@@ -524,22 +488,6 @@ impl<'g> Network<'g> {
         self.faults.as_ref()
     }
 
-    /// The worker count a run over `n_nodes` nodes would use right now.
-    fn effective_threads(&self, n_nodes: usize) -> usize {
-        let raw = match self.engine {
-            EngineMode::Sequential => 1,
-            EngineMode::Parallel { threads } => threads,
-            EngineMode::Auto => {
-                if n_nodes >= PARALLEL_NODE_THRESHOLD {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    1
-                }
-            }
-        };
-        raw.clamp(1, n_nodes.max(1))
-    }
-
     /// The topology.
     pub fn graph(&self) -> &Graph {
         self.graph
@@ -553,22 +501,14 @@ impl<'g> Network<'g> {
     /// Execute `nodes[v]` as the protocol instance at node `v` until every
     /// node is done and no messages are in flight.
     ///
-    /// Scheduling follows [`with_engine`](Self::with_engine); every mode
-    /// yields bit-identical results. Protocols that cannot satisfy the
-    /// `Send`/`Sync` bounds can always use
-    /// [`run_sequential`](Self::run_sequential). To record traces,
-    /// violations, or telemetry alongside the run, use the
-    /// [`exec`](Self::exec) builder.
+    /// To record traces, violations, or telemetry alongside the run, use
+    /// the [`exec`](Self::exec) builder.
     ///
     /// # Errors
     ///
     /// Returns an error if a node sends to a non-neighbor, an edge exceeds
     /// the bandwidth cap, the round limit is hit, or `nodes.len() != n`.
-    pub fn run<P>(&self, nodes: Vec<P>) -> Result<Run<P>, RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-    {
+    pub fn run<P: NodeProtocol>(&self, nodes: Vec<P>) -> Result<RunOutput<P>, RuntimeError> {
         self.run_with(nodes, ())
     }
 
@@ -576,10 +516,9 @@ impl<'g> Network<'g> {
     ///
     /// `net.exec(nodes)` followed by any combination of
     /// [`traced`](Exec::traced), [`audited`](Exec::audited), and
-    /// [`telemetry`](Exec::telemetry), finished with [`run`](Exec::run)
-    /// (or [`run_sequential`](Exec::run_sequential) for protocols whose
-    /// state is not `Send`), returns a typed [`RunOutput`] carrying
-    /// exactly the artifacts that were requested.
+    /// [`telemetry`](Exec::telemetry), finished with [`run`](Exec::run),
+    /// returns a typed [`RunOutput`] carrying exactly the artifacts that
+    /// were requested.
     ///
     /// # Examples
     ///
@@ -610,232 +549,23 @@ impl<'g> Network<'g> {
     /// Same as [`run`](Self::run), except that model breaches are reported
     /// through [`RunObserver::on_violation`] instead of aborting when
     /// `obs.audits()` is true.
-    pub fn run_with<P, O>(&self, nodes: Vec<P>, obs: O) -> Result<Run<P>, RuntimeError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync,
-        O: RunObserver,
-    {
-        match self.effective_threads(nodes.len()) {
-            1 => self.exec_loop(nodes, obs, 1, SeqDriver),
-            threads => self.exec_loop(nodes, obs, threads, ParDriver),
-        }
-    }
-
-    /// [`run`](Self::run) on the single-threaded engine, regardless of the
-    /// configured [`EngineMode`]. This is the reference implementation the
-    /// parallel engine is checked against, and the only entry point for
-    /// protocols whose state is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_sequential<P: NodeProtocol>(&self, nodes: Vec<P>) -> Result<Run<P>, RuntimeError> {
-        self.run_sequential_with(nodes, ())
-    }
-
-    /// [`run_with`](Self::run_with) on the single-threaded engine — the
-    /// observer entry point for protocols whose state is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with`](Self::run_with).
-    pub fn run_sequential_with<P: NodeProtocol, O: RunObserver>(
-        &self,
-        nodes: Vec<P>,
-        obs: O,
-    ) -> Result<Run<P>, RuntimeError> {
-        self.exec_loop(nodes, obs, 1, SeqDriver)
-    }
-
-    /// Validate one sender's outbox against the model, apply fault
-    /// verdicts, and hand each surviving message to `sink` — the single
-    /// validation/fault/delivery path shared by both engines.
-    ///
-    /// Per-edge load is accumulated in `router`'s rank-indexed slot array —
-    /// one `O(log deg)` rank lookup per message, no per-sender allocation —
-    /// and only the touched slots are flushed and reset, so routing cost is
-    /// proportional to traffic rather than to the sender's degree.
-    ///
-    /// Returns `false` when the sender's chunk must stop: a non-audited
-    /// model breach was staged in `result.error`. In audit mode breaches
-    /// become [`Violation`]s in `result.violations` instead and the outbox
-    /// keeps draining (audited cap overflows still deliver; audited
-    /// non-neighbor sends are discarded — there is no edge to carry them).
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // internal hot path; grouping into a struct buys nothing
-    fn route_outbox<M: MessageSize, S: SendSink<M>>(
-        &self,
-        from: NodeId,
-        round: usize,
-        outbox: &mut Vec<(NodeId, M)>,
-        router: &mut Router,
-        result: &mut LaneResult,
-        edges: Option<&mut Vec<(NodeId, NodeId, u64)>>,
-        sink: &mut S,
-        auditing: bool,
-    ) -> bool {
-        for (idx, (to, msg)) in outbox.drain(..).enumerate() {
-            let Some(rank) = self.graph.neighbor_rank(from, to) else {
-                if auditing {
-                    result.violations.push(Violation::NonNeighborSend { round, from, to });
-                    continue; // no edge exists to carry the message
-                }
-                result.error = Some(RuntimeError::NotANeighbor { round, from, to });
-                return false;
-            };
-            let bits = msg.size_bits();
-            if router.slots[rank] == 0 {
-                router.touched.push(rank);
-            }
-            router.slots[rank] += bits;
-            if router.slots[rank] > self.cap_bits {
-                if auditing {
-                    result.violations.push(Violation::CapExceeded {
-                        round,
-                        from,
-                        to,
-                        bits: router.slots[rank],
-                        cap: self.cap_bits,
-                    });
-                } else {
-                    result.error = Some(RuntimeError::BandwidthExceeded {
-                        round,
-                        from,
-                        to,
-                        bits: router.slots[rank],
-                        cap: self.cap_bits,
-                    });
-                    return false;
-                }
-            }
-            // Model validation passed (or was audited); now the fault plan
-            // decides the message's fate. Dropped messages still loaded the
-            // edge above — only delivery accounting skips them.
-            let mut delay = 0u32;
-            if let Some(plan) = &self.faults {
-                // Outages and tail-drops beyond a degraded cap both lose
-                // the message; otherwise the seeded hash decides.
-                let verdict = if plan.link_is_down(round, from, to)
-                    || plan.degraded_cap(from, to).is_some_and(|c| router.slots[rank] > c)
-                {
-                    Delivery::Drop
-                } else {
-                    plan.decide(round, from, to, idx)
-                };
-                match verdict {
-                    Delivery::Drop => {
-                        result.stats.dropped += 1;
-                        continue;
-                    }
-                    Delivery::Delay(d) => delay = d as u32,
-                    Delivery::Deliver => {}
-                }
-            }
-            result.stats.messages += 1;
-            result.stats.total_bits += bits;
-            sink.accept(to, from, delay, bits, msg);
-        }
-        router.flush(from, self.graph.neighbors(from), &mut result.stats, &mut result.acc, edges);
-        true
-    }
-
-    /// Run one round's `on_round` calls for a contiguous chunk of nodes
-    /// starting at id `base`, routing every sender's outbox through
-    /// [`route_outbox`](Self::route_outbox) into `sink`. Stops at the
-    /// chunk's first error, exactly where a fully sequential sweep would.
-    #[allow(clippy::too_many_arguments)] // internal hot path; grouping into a struct buys nothing
-    fn round_for_chunk<P: NodeProtocol, S: SendSink<P::Msg>>(
-        &self,
-        round: usize,
-        base: NodeId,
-        chunk: &mut [P],
-        inboxes: &[Vec<(NodeId, P::Msg)>],
-        lane: &mut LaneCore<P::Msg>,
-        sink: &mut S,
-        auditing: bool,
-        telemetering: bool,
-    ) {
-        let n = self.graph.n();
-        lane.result = LaneResult::default();
-        for (i, node) in chunk.iter_mut().enumerate() {
-            let v = base + i;
-            lane.outbox.clear();
-            {
-                let mut ctx = Ctx {
-                    me: v,
-                    round,
-                    n,
-                    cap_bits: self.cap_bits,
-                    neighbors: self.graph.neighbors(v),
-                    out: &mut lane.outbox,
-                    tel: if telemetering { Some(&mut lane.shard) } else { None },
-                };
-                node.on_round(&mut ctx, &inboxes[v]);
-            }
-            if lane.outbox.is_empty() {
-                continue;
-            }
-            lane.result.any_sent = true;
-            if !self.route_outbox(
-                v,
-                round,
-                &mut lane.outbox,
-                &mut lane.router,
-                &mut lane.result,
-                if telemetering { Some(&mut lane.shard.edges) } else { None },
-                sink,
-                auditing,
-            ) {
-                return;
-            }
-        }
-    }
-
-    /// The round loop — the only one in the crate; both engines execute
-    /// this exact body. `driver` chooses how each round's `on_round` calls
-    /// are scheduled (inline on one lane, or fanned out over scoped worker
-    /// threads staging into per-lane buffers), [`ExecCore`] holds the
-    /// engine-agnostic run state, and `obs` receives the [`RunObserver`]
-    /// hooks at fixed points of the loop.
-    ///
-    /// Merging lanes in chunk (= node id) order reproduces a sequential
-    /// sweep's inbox ordering, statistics, busiest-edge choice, and first
-    /// error exactly; see `DESIGN.md`, "Engine internals".
-    fn exec_loop<P, O, D>(
+    pub fn run_with<P: NodeProtocol, O: RunObserver>(
         &self,
         mut nodes: Vec<P>,
         mut obs: O,
-        threads: usize,
-        driver: D,
-    ) -> Result<Run<P>, RuntimeError>
-    where
-        P: NodeProtocol,
-        O: RunObserver,
-        D: RoundDriver<P>,
-    {
+    ) -> Result<RunOutput<P>, RuntimeError> {
         let n = self.graph.n();
         if nodes.len() != n {
             return Err(RuntimeError::WrongNodeCount { expected: n, got: nodes.len() });
         }
-        let mut core = ExecCore::new(n, self.graph.max_degree(), threads, &obs);
+        let mut core = ExecCore::new(n, self.graph.max_degree(), &obs);
         for round in 0..self.max_rounds {
             obs.on_round_start(round);
-            driver.drive(self, round, &mut nodes, &mut core, &mut obs);
-            // The first error in lane order is the first error in node
-            // order: chunks are contiguous and each lane stops at its own
-            // first error.
-            if let Some(e) = core.first_error() {
-                return Err(e);
-            }
-            let (any_sent, round_trace) = core.merge_round(round, &mut obs);
+            let round_trace = core.run_round(self, round, &mut nodes, &mut obs)?;
             if let Some(e) = nodes.iter().find_map(|p| p.failure()) {
                 return Err(e);
             }
-            if any_sent {
-                core.last_active_round = round + 1;
-            }
-            obs.on_round_end(round, round_trace, &mut core.round_shard);
+            obs.on_round_end(round, round_trace, &mut core.shard);
             // Delayed messages that matured this round arrive with the next
             // round's inboxes, after every regular send; like a regular
             // send, a matured delivery keeps the run active.
@@ -845,7 +575,7 @@ impl<'g> Network<'g> {
             if core.quiescent() && nodes.iter().all(|p| p.is_done()) {
                 core.stats.rounds = core.last_active_round;
                 obs.on_finish(&core.stats);
-                return Ok(Run { nodes, stats: core.stats });
+                return Ok(RunOutput { nodes, stats: core.stats, trace: (), violations: () });
             }
             core.advance();
         }
@@ -857,7 +587,7 @@ impl<'g> Network<'g> {
 ///
 /// One observer pipeline is attached per run (via the [`Exec`] builder or
 /// [`Network::run_with`]); the engine invokes the hooks at fixed points of
-/// its single round loop, identically under every [`EngineMode`]:
+/// its round loop:
 ///
 /// * [`on_round_start`](Self::on_round_start) — before any `on_round` call
 ///   of the round;
@@ -867,14 +597,14 @@ impl<'g> Network<'g> {
 /// * [`on_violation`](Self::on_violation) — once per model breach, in
 ///   sender order; only in audit mode ([`audits`](Self::audits));
 /// * [`on_round_end`](Self::on_round_end) — after the round's messages
-///   are routed, with the round's aggregate [`RoundTrace`] and the merged
+///   are routed, with the round's aggregate [`RoundTrace`] and the run's
 ///   telemetry staging [`Shard`];
 /// * [`on_finish`](Self::on_finish) — once, with the final [`RunStats`],
 ///   when the run completes successfully (never on an error path).
 ///
-/// Within a round, each hook's own call sequence is engine-invariant
-/// (global node order); the interleaving *between* `on_message` and
-/// `on_violation` calls of the same round is unspecified.
+/// `on_message` and `on_violation` fire while a sender's outbox is routed,
+/// right after that node's `on_round`, so within a round they arrive in
+/// (sender, outbox position) order.
 ///
 /// Every hook has a no-op default, `()` is the empty pipeline, and two
 /// pipelines compose as an `(A, B)` tuple — so a disabled concern costs
@@ -888,8 +618,8 @@ pub trait RunObserver {
         false
     }
 
-    /// Whether the run stages protocol telemetry: per-lane [`Shard`]s are
-    /// allocated and [`Ctx::mark`]/[`Ctx::count`]/[`Ctx::observe`] record.
+    /// Whether the run stages protocol telemetry: the run's [`Shard`]
+    /// collects what [`Ctx::mark`]/[`Ctx::count`]/[`Ctx::observe`] record.
     fn collects_telemetry(&self) -> bool {
         false
     }
@@ -922,7 +652,7 @@ pub trait RunObserver {
     }
 
     /// Called at the end of every round with its aggregate trace and the
-    /// round's merged telemetry staging buffer (empty unless
+    /// round's telemetry staging buffer (empty unless
     /// [`collects_telemetry`](Self::collects_telemetry) is true).
     fn on_round_end(&mut self, round: usize, trace: RoundTrace, shard: &mut Shard) {
         let _ = (round, trace, shard);
@@ -1061,8 +791,7 @@ impl ObserverSlot for &mut Collector {
 /// The type parameters track which artifacts were requested: each of
 /// [`traced`](Self::traced), [`audited`](Self::audited), and
 /// [`telemetry`](Self::telemetry) fills its slot (callable once, enforced
-/// at compile time), and [`run`](Self::run) /
-/// [`run_sequential`](Self::run_sequential) return a [`RunOutput`] typed
+/// at compile time), and [`run`](Self::run) returns a [`RunOutput`] typed
 /// by the filled slots.
 pub struct Exec<'n, 'g, P, T = (), A = (), C = ()> {
     net: &'n Network<'g>,
@@ -1102,8 +831,7 @@ impl<'n, 'g, P, T, C> Exec<'n, 'g, P, T, (), C> {
     /// Audited cap overflows still deliver their message; audited
     /// non-neighbor sends are discarded (there is no edge to carry them).
     /// The findings are returned as [`RunOutput::violations`], in
-    /// deterministic (round, then sender) order under every engine. This
-    /// is the substrate of [`conformance`](crate::conformance).
+    /// deterministic (round, then sender) order. This is the substrate of [`conformance`](crate::conformance).
     pub fn audited(self) -> Exec<'n, 'g, P, T, Vec<Violation>, C> {
         Exec {
             net: self.net,
@@ -1124,8 +852,8 @@ impl<'n, 'g, P, T, A> Exec<'n, 'g, P, T, A, ()> {
     /// advances by the run's measured rounds.
     ///
     /// Recording is deterministic: the same run produces byte-identical
-    /// collector exports under every [`EngineMode`] (see the
-    /// [`telemetry`](crate::telemetry) module docs for the contract).
+    /// collector exports (see the [`telemetry`](crate::telemetry) module
+    /// docs for the contract).
     pub fn telemetry<'c>(self, tel: &'c mut Collector) -> Exec<'n, 'g, P, T, A, &'c mut Collector> {
         Exec { net: self.net, nodes: self.nodes, trace: self.trace, audit: self.audit, tel }
     }
@@ -1138,35 +866,16 @@ where
     A: ObserverSlot,
     C: ObserverSlot,
 {
-    /// Execute the run under the configured [`EngineMode`] (like
-    /// [`Network::run`]).
+    /// Execute the run (like [`Network::run`]).
     ///
     /// # Errors
     ///
     /// Same as [`Network::run`], except that when [`audited`](Self::audited)
     /// was requested, model breaches become [`RunOutput::violations`]
     /// instead of errors.
-    pub fn run(self) -> Result<RunOutput<P, T, A>, RuntimeError>
-    where
-        P: Send,
-        P::Msg: Send + Sync,
-    {
+    pub fn run(self) -> Result<RunOutput<P, T, A>, RuntimeError> {
         let Exec { net, nodes, mut trace, mut audit, mut tel } = self;
         let run = net.run_with(nodes, ((trace.observer(), audit.observer()), tel.observer()))?;
-        Ok(RunOutput { nodes: run.nodes, stats: run.stats, trace, violations: audit })
-    }
-
-    /// Execute the run on the single-threaded engine, regardless of the
-    /// configured [`EngineMode`] — the only builder entry point for
-    /// protocols whose state is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_sequential(self) -> Result<RunOutput<P, T, A>, RuntimeError> {
-        let Exec { net, nodes, mut trace, mut audit, mut tel } = self;
-        let run =
-            net.run_sequential_with(nodes, ((trace.observer(), audit.observer()), tel.observer()))?;
         Ok(RunOutput { nodes: run.nodes, stats: run.stats, trace, violations: audit })
     }
 }
@@ -1189,117 +898,179 @@ pub struct RunOutput<P, T = (), A = ()> {
     pub violations: A,
 }
 
-/// Engine-agnostic state of one run: the inbox double-buffer, the delay
-/// wheel, run statistics, and the per-lane staging buffers. Both engines
-/// execute the single loop in `Network::exec_loop` over this core; a
-/// [`RoundDriver`] only chooses how the `on_round` calls land on the
-/// lanes.
+/// The state of one run: the inbox double-buffer, the delay wheel, the
+/// reused outbox, router, and telemetry shard, and the run statistics.
+/// [`Network::run_with`] drives its round loop over this core, reusing
+/// every buffer round after round so the steady state allocates nothing.
 struct ExecCore<M> {
-    /// Nodes per lane (`n.div_ceil(lanes)`); lane `t` owns ids
-    /// `[t·chunk_len, (t+1)·chunk_len)`.
-    chunk_len: usize,
     inboxes: Vec<Vec<(NodeId, M)>>,
     next_inboxes: Vec<Vec<(NodeId, M)>>,
     wheel: DelayWheel<M>,
-    lanes: Vec<Lane<M>>,
+    /// The current sender's outbox; always empty between senders.
+    outbox: Vec<(NodeId, M)>,
+    router: Router,
+    /// Telemetry emitted this round, in node order; the telemetry
+    /// observer drains it in [`RunObserver::on_round_end`] (empty on
+    /// untelemetered runs).
+    shard: Shard,
     stats: RunStats,
     last_active_round: usize,
-    /// Per-lane telemetry shards are merged into this buffer in chunk
-    /// (= node id) order each round, reproducing a sequential sweep's
-    /// emission order exactly; [`RunObserver::on_round_end`] drains it.
-    round_shard: Shard,
     auditing: bool,
     telemetering: bool,
     want_messages: bool,
 }
 
 impl<M: MessageSize> ExecCore<M> {
-    fn new<O: RunObserver>(n: usize, max_degree: usize, lanes: usize, obs: &O) -> Self {
+    fn new<O: RunObserver>(n: usize, max_degree: usize, obs: &O) -> Self {
         ExecCore {
-            chunk_len: n.div_ceil(lanes.max(1)),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             next_inboxes: (0..n).map(|_| Vec::new()).collect(),
             wheel: DelayWheel::new(),
-            lanes: (0..lanes).map(|_| Lane::new(max_degree)).collect(),
+            outbox: Vec::new(),
+            router: Router::new(max_degree),
+            shard: Shard::default(),
             stats: RunStats::default(),
             last_active_round: 0,
-            round_shard: Shard::default(),
             auditing: obs.audits(),
             telemetering: obs.collects_telemetry(),
             want_messages: obs.observes_messages(),
         }
     }
 
-    /// The first staged routing error in lane (= node) order, if any.
-    fn first_error(&mut self) -> Option<RuntimeError> {
-        self.lanes.iter_mut().find_map(|l| l.core.result.error.take())
-    }
-
-    /// Fold every lane's round results into the run: statistics, audit
-    /// findings (through [`RunObserver::on_violation`]), telemetry shards,
-    /// and staged sends (delivered to the next round's inboxes or the
-    /// delay wheel), all in chunk (= node id) order. Returns whether any
-    /// node sent this round plus the round's aggregate trace.
-    fn merge_round<O: RunObserver>(&mut self, round: usize, obs: &mut O) -> (bool, RoundTrace) {
-        let ExecCore {
-            lanes,
-            next_inboxes,
-            wheel,
-            stats,
-            round_shard,
-            telemetering,
-            want_messages,
-            ..
-        } = self;
-        let (telemetering, want_messages) = (*telemetering, *want_messages);
+    /// Run one round: call every node's `on_round` in id order and route
+    /// its outbox as soon as it returns. Returns the round's trace, or the
+    /// first non-audited model breach, which is the first in node order
+    /// because routing follows node order.
+    fn run_round<P, O>(
+        &mut self,
+        net: &Network<'_>,
+        round: usize,
+        nodes: &mut [P],
+        obs: &mut O,
+    ) -> Result<RoundTrace, RuntimeError>
+    where
+        P: NodeProtocol<Msg = M>,
+        O: RunObserver,
+    {
+        let n = nodes.len();
+        let mut trace = RoundTrace::default();
         let mut any_sent = false;
-        let mut acc = RoundAccum::default();
-        for lane in lanes.iter_mut() {
-            let r = &lane.core.result;
-            stats.messages += r.stats.messages;
-            stats.total_bits += r.stats.total_bits;
-            stats.max_edge_bits = stats.max_edge_bits.max(r.stats.max_edge_bits);
-            stats.dropped += r.stats.dropped;
-            any_sent |= r.any_sent;
-            // The lane's stats are exactly this round's deltas (the lane
-            // result is reset at the top of each round).
-            acc.messages += r.stats.messages;
-            acc.bits += r.stats.total_bits;
-            acc.dropped += r.stats.dropped;
-            if let Some((f, t, b)) = r.acc.busiest {
-                if acc.busiest.is_none_or(|(_, _, bb)| b > bb) {
-                    acc.busiest = Some((f, t, b));
-                }
-            }
-            for v in lane.core.result.violations.drain(..) {
-                obs.on_violation(&v);
-            }
-            if telemetering {
-                round_shard.marks.append(&mut lane.core.shard.marks);
-                round_shard.counts.append(&mut lane.core.shard.counts);
-                round_shard.observations.append(&mut lane.core.shard.observations);
-                round_shard.edges.append(&mut lane.core.shard.edges);
-            }
-            for (to, from, delay, msg) in lane.sends.drain(..) {
-                if want_messages {
-                    obs.on_message(round, from, to, msg.size_bits());
-                }
-                if delay == 0 {
-                    next_inboxes[to].push((from, msg));
-                } else {
-                    wheel.schedule(delay as usize, to, from, msg);
-                }
+        for (v, node) in nodes.iter_mut().enumerate() {
+            let mut ctx = Ctx {
+                me: v,
+                round,
+                n,
+                cap_bits: net.cap_bits,
+                neighbors: net.graph.neighbors(v),
+                out: &mut self.outbox,
+                tel: if self.telemetering { Some(&mut self.shard) } else { None },
+            };
+            node.on_round(&mut ctx, &self.inboxes[v]);
+            if !self.outbox.is_empty() {
+                any_sent = true;
+                self.route_outbox(net, v, round, &mut trace, obs)?;
             }
         }
-        (
-            any_sent,
-            RoundTrace {
-                messages: acc.messages,
-                bits: acc.bits,
-                busiest_edge: acc.busiest,
-                dropped: acc.dropped,
-            },
-        )
+        self.stats.messages += trace.messages;
+        self.stats.total_bits += trace.bits;
+        self.stats.dropped += trace.dropped;
+        if any_sent {
+            self.last_active_round = round + 1;
+        }
+        Ok(trace)
+    }
+
+    /// Validate sender `from`'s outbox against the model, apply fault
+    /// verdicts, and deliver each surviving message straight into the next
+    /// round's inboxes (or the delay wheel), reporting it to
+    /// [`RunObserver::on_message`].
+    ///
+    /// Per-edge load is accumulated in the router's rank-indexed slot
+    /// array — one `O(log deg)` rank lookup per message, no per-sender
+    /// allocation — and only the touched slots are flushed and reset, so
+    /// routing cost is proportional to traffic rather than to the sender's
+    /// degree.
+    ///
+    /// A model breach aborts the run with an error, unless the run audits:
+    /// then it becomes a [`RunObserver::on_violation`] call and the outbox
+    /// keeps draining (audited cap overflows still deliver; audited
+    /// non-neighbor sends are discarded, as there is no edge to carry them).
+    #[inline]
+    fn route_outbox<O: RunObserver>(
+        &mut self,
+        net: &Network<'_>,
+        from: NodeId,
+        round: usize,
+        trace: &mut RoundTrace,
+        obs: &mut O,
+    ) -> Result<(), RuntimeError> {
+        let (auditing, telemetering, want_messages) =
+            (self.auditing, self.telemetering, self.want_messages);
+        let ExecCore { next_inboxes, wheel, outbox, router, shard, stats, .. } = self;
+        let cap = net.cap_bits;
+        for (idx, (to, msg)) in outbox.drain(..).enumerate() {
+            let Some(rank) = net.graph.neighbor_rank(from, to) else {
+                if auditing {
+                    obs.on_violation(&Violation::NonNeighborSend { round, from, to });
+                    continue; // no edge exists to carry the message
+                }
+                return Err(RuntimeError::NotANeighbor { round, from, to });
+            };
+            let bits = msg.size_bits();
+            if router.slots[rank] == 0 {
+                router.touched.push(rank);
+            }
+            router.slots[rank] += bits;
+            let load = router.slots[rank];
+            if load > cap {
+                if !auditing {
+                    return Err(RuntimeError::BandwidthExceeded {
+                        round,
+                        from,
+                        to,
+                        bits: load,
+                        cap,
+                    });
+                }
+                obs.on_violation(&Violation::CapExceeded { round, from, to, bits: load, cap });
+            }
+            // Model validation passed (or was audited); now the fault plan
+            // decides the message's fate. Dropped messages still loaded the
+            // edge above — only delivery accounting skips them.
+            let mut delay = 0;
+            if let Some(plan) = &net.faults {
+                // Outages and tail-drops beyond a degraded cap both lose
+                // the message; otherwise the seeded hash decides.
+                let verdict = if plan.link_is_down(round, from, to)
+                    || plan.degraded_cap(from, to).is_some_and(|c| load > c)
+                {
+                    Delivery::Drop
+                } else {
+                    plan.decide(round, from, to, idx)
+                };
+                match verdict {
+                    Delivery::Drop => {
+                        trace.dropped += 1;
+                        continue;
+                    }
+                    Delivery::Delay(d) => delay = d,
+                    Delivery::Deliver => {}
+                }
+            }
+            trace.messages += 1;
+            trace.bits += bits;
+            if want_messages {
+                obs.on_message(round, from, to, bits);
+            }
+            if delay == 0 {
+                next_inboxes[to].push((from, msg));
+            } else {
+                wheel.schedule(delay, to, from, msg);
+            }
+        }
+        let edges = if telemetering { Some(&mut shard.edges) } else { None };
+        router.flush(from, net.graph.neighbors(from), stats, trace, edges);
+        Ok(())
     }
 
     /// Whether no message is waiting for the next round (inboxes and the
@@ -1313,146 +1084,6 @@ impl<M: MessageSize> ExecCore<M> {
         for (inbox, next) in self.inboxes.iter_mut().zip(self.next_inboxes.iter_mut()) {
             inbox.clear();
             std::mem::swap(inbox, next);
-        }
-    }
-}
-
-/// How one round's `on_round` calls are scheduled onto the lanes. The loop
-/// body, validation path, and merge logic are shared ([`ExecCore`]); a
-/// driver only chooses inline execution or a scoped-thread fan-out.
-trait RoundDriver<P: NodeProtocol> {
-    fn drive<O: RunObserver>(
-        &self,
-        net: &Network<'_>,
-        round: usize,
-        nodes: &mut [P],
-        core: &mut ExecCore<P::Msg>,
-        obs: &mut O,
-    );
-}
-
-/// Single-lane driver: runs the whole node range inline and delivers each
-/// validated send straight into the next round's inboxes (or the delay
-/// wheel) — no staging, no `Send` bounds.
-struct SeqDriver;
-
-impl<P: NodeProtocol> RoundDriver<P> for SeqDriver {
-    fn drive<O: RunObserver>(
-        &self,
-        net: &Network<'_>,
-        round: usize,
-        nodes: &mut [P],
-        core: &mut ExecCore<P::Msg>,
-        obs: &mut O,
-    ) {
-        let ExecCore {
-            inboxes,
-            next_inboxes,
-            wheel,
-            lanes,
-            auditing,
-            telemetering,
-            want_messages,
-            ..
-        } = core;
-        let mut sink =
-            DeliverSink { next_inboxes, wheel, obs, want_messages: *want_messages, round };
-        net.round_for_chunk(
-            round,
-            0,
-            nodes,
-            inboxes,
-            &mut lanes[0].core,
-            &mut sink,
-            *auditing,
-            *telemetering,
-        );
-    }
-}
-
-/// Scoped-thread driver: one contiguous [`NodeId`] chunk per lane, sends
-/// staged per lane and merged in chunk order by the coordinator.
-struct ParDriver;
-
-impl<P> RoundDriver<P> for ParDriver
-where
-    P: NodeProtocol + Send,
-    P::Msg: Send + Sync,
-{
-    fn drive<O: RunObserver>(
-        &self,
-        net: &Network<'_>,
-        round: usize,
-        nodes: &mut [P],
-        core: &mut ExecCore<P::Msg>,
-        _obs: &mut O,
-    ) {
-        let ExecCore { inboxes, lanes, chunk_len, auditing, telemetering, .. } = core;
-        let (chunk_len, auditing, telemetering) = (*chunk_len, *auditing, *telemetering);
-        let inboxes: &[Vec<(NodeId, P::Msg)>] = inboxes;
-        std::thread::scope(|s| {
-            for (t, (chunk, lane)) in nodes.chunks_mut(chunk_len).zip(lanes.iter_mut()).enumerate()
-            {
-                s.spawn(move || {
-                    let Lane { core: lane_core, sends } = lane;
-                    net.round_for_chunk(
-                        round,
-                        t * chunk_len,
-                        chunk,
-                        inboxes,
-                        lane_core,
-                        &mut StageSink { sends },
-                        auditing,
-                        telemetering,
-                    );
-                });
-            }
-        });
-    }
-}
-
-/// Where `Network::route_outbox` puts a message that survived validation
-/// and the fault verdict.
-trait SendSink<M> {
-    /// Accept a message for delivery `delay` extra rounds from now
-    /// (`delay == 0` is normal next-round delivery).
-    fn accept(&mut self, to: NodeId, from: NodeId, delay: u32, bits: u64, msg: M);
-}
-
-/// Stages sends in a lane buffer for the coordinator to merge — the
-/// parallel driver's sink (workers may not touch the shared inboxes).
-struct StageSink<'a, M> {
-    sends: &'a mut Vec<(NodeId, NodeId, u32, M)>,
-}
-
-impl<M> SendSink<M> for StageSink<'_, M> {
-    #[inline]
-    fn accept(&mut self, to: NodeId, from: NodeId, delay: u32, _bits: u64, msg: M) {
-        self.sends.push((to, from, delay, msg));
-    }
-}
-
-/// Delivers straight into the next round's inboxes or the delay wheel —
-/// the sequential driver's sink (the coordinator is the only thread, so
-/// staging would be a wasted copy).
-struct DeliverSink<'a, M, O> {
-    next_inboxes: &'a mut Vec<Vec<(NodeId, M)>>,
-    wheel: &'a mut DelayWheel<M>,
-    obs: &'a mut O,
-    want_messages: bool,
-    round: usize,
-}
-
-impl<M, O: RunObserver> SendSink<M> for DeliverSink<'_, M, O> {
-    #[inline]
-    fn accept(&mut self, to: NodeId, from: NodeId, delay: u32, bits: u64, msg: M) {
-        if self.want_messages {
-            self.obs.on_message(self.round, from, to, bits);
-        }
-        if delay == 0 {
-            self.next_inboxes[to].push((from, msg));
-        } else {
-            self.wheel.schedule(delay as usize, to, from, msg);
         }
     }
 }
@@ -1474,23 +1105,24 @@ impl Router {
         Router { slots: vec![0; max_degree], touched: Vec::new() }
     }
 
-    /// Fold the touched per-edge loads of sender `from` into the run and
-    /// round accumulators, and reset the slots for the next sender.
+    /// Fold the touched per-edge loads of sender `from` into the run's
+    /// largest edge load and the round's busiest edge, and reset the slots
+    /// for the next sender.
     #[inline]
     fn flush(
         &mut self,
         from: NodeId,
         neighbors: &[NodeId],
         stats: &mut RunStats,
-        acc: &mut RoundAccum,
+        trace: &mut RoundTrace,
         mut edges: Option<&mut Vec<(NodeId, NodeId, u64)>>,
     ) {
         for &r in &self.touched {
             let load = self.slots[r];
             self.slots[r] = 0;
             stats.max_edge_bits = stats.max_edge_bits.max(load);
-            if acc.busiest.is_none_or(|(_, _, b)| load > b) {
-                acc.busiest = Some((from, neighbors[r], load));
+            if trace.busiest_edge.is_none_or(|(_, _, b)| load > b) {
+                trace.busiest_edge = Some((from, neighbors[r], load));
             }
             // Telemetry-only per-edge load feed; `load == 0` slots (from a
             // zero-size message's double-push) are skipped like elsewhere.
@@ -1504,72 +1136,13 @@ impl Router {
     }
 }
 
-/// Per-round trace accumulator, filled inside the send loop so a traced
-/// run measures each message exactly once.
-#[derive(Debug, Default, Clone, Copy)]
-struct RoundAccum {
-    messages: u64,
-    bits: u64,
-    busiest: Option<(NodeId, NodeId, u64)>,
-    dropped: u64,
-}
-
-/// One lane's round output, reset at the top of every round.
-#[derive(Debug, Default)]
-struct LaneResult {
-    stats: RunStats,
-    acc: RoundAccum,
-    any_sent: bool,
-    error: Option<RuntimeError>,
-    /// Audit-mode findings, in this lane's node order; the coordinator
-    /// replays lanes in chunk order, reproducing sequential order.
-    violations: Vec<Violation>,
-}
-
-/// One lane's persistent working state — everything `round_for_chunk`
-/// touches — reused round after round so the steady state allocates
-/// nothing. The sequential engine runs one of these inline; the parallel
-/// engine hands one to each worker thread.
-struct LaneCore<M> {
-    outbox: Vec<(NodeId, M)>,
-    router: Router,
-    result: LaneResult,
-    /// Telemetry staged by this lane's chunk, drained by the coordinator
-    /// in chunk order each round (empty on untelemetered runs).
-    shard: Shard,
-}
-
-/// A [`LaneCore`] plus the parallel engine's staging buffer.
-struct Lane<M> {
-    core: LaneCore<M>,
-    /// Validated `(to, from, delay, msg)` tuples in sender order, staged by
-    /// [`StageSink`] and merged into the next round's inboxes (or the
-    /// delay wheel) by the coordinating thread; always empty on the
-    /// sequential engine, whose [`DeliverSink`] bypasses staging.
-    sends: Vec<(NodeId, NodeId, u32, M)>,
-}
-
-impl<M> Lane<M> {
-    fn new(max_degree: usize) -> Self {
-        Lane {
-            core: LaneCore {
-                outbox: Vec::new(),
-                router: Router::new(max_degree),
-                result: LaneResult::default(),
-                shard: Shard::default(),
-            },
-            sends: Vec::new(),
-        }
-    }
-}
-
 /// Future deliveries scheduled by a delaying fault plan.
 ///
 /// Slot `d` holds the messages that mature `d` round boundaries from now:
 /// at the end of each round the front slot is appended (in scheduling
 /// order) to the next round's inboxes, after all regular sends. Scheduling
 /// order is sender order within a round and round order across rounds, so
-/// both engines produce the same arrival order.
+/// arrival order is fixed by node order.
 #[derive(Debug)]
 struct DelayWheel<M> {
     slots: VecDeque<Vec<(NodeId, NodeId, M)>>,

@@ -23,12 +23,11 @@
 //! # Determinism contract
 //!
 //! Everything a [`Collector`] records from the engine is **round-indexed,
-//! never wall-clock-timed**, and recorded in node order: the parallel
-//! engine stages telemetry in per-lane shard buffers and merges them back
-//! in fixed chunk (= node id) order, so a run instrumented under
-//! [`EngineMode::Sequential`](crate::runtime::EngineMode) and under
-//! `EngineMode::Parallel { .. }` exports **byte-identical** trace and
-//! metrics files. The single explicitly non-deterministic input is
+//! never wall-clock-timed**, and recorded in node order: the engine calls
+//! the nodes of a round in id order, and protocols and the router write
+//! into one staging [`Shard`] that the collector drains at the end of each
+//! round, so replaying an instrumented run exports **byte-identical**
+//! trace and metrics files. The single explicitly non-deterministic input is
 //! [`Collector::wall_annotation`], an opt-in wall-clock note that is kept
 //! in a separate section of the metrics export and never enters the trace
 //! timeline.
@@ -140,13 +139,12 @@ impl Histogram {
     }
 }
 
-/// Per-round telemetry staged by one engine worker before the coordinator
-/// folds it into the [`Collector`].
+/// One round's telemetry, staged by the engine before the [`Collector`]
+/// folds it in.
 ///
-/// The sequential engine owns exactly one shard; the parallel engine owns
-/// one per lane and merges them in chunk (= node id) order, which is what
-/// makes instrumented runs bit-identical across
-/// [`EngineMode`](crate::runtime::EngineMode)s.
+/// A run owns exactly one shard. Protocols write into it through
+/// [`Ctx`](crate::runtime::Ctx) and the router adds per-edge loads, all in
+/// node order; the collector drains it at the end of every round.
 #[derive(Debug, Default)]
 pub struct Shard {
     /// `(node, label)` marks, in emission (= node) order.
@@ -157,37 +155,6 @@ pub struct Shard {
     pub(crate) observations: Vec<(&'static str, u64)>,
     /// Per-edge offered load `(from, to, bits)` flushed by the router.
     pub(crate) edges: Vec<(NodeId, NodeId, u64)>,
-}
-
-/// The recording surface shared by telemetry sinks.
-///
-/// [`Collector`] is the concrete implementation used throughout the repo;
-/// the trait exists so drivers that only *record* (spans, counters,
-/// histograms, round advances) can be written against the interface and
-/// tested with lightweight fakes, without committing to the collector's
-/// storage or export formats.
-pub trait Recorder {
-    /// Open a span at the current position on the round timebase.
-    fn enter(&mut self, name: &str);
-    /// Close the innermost open span.
-    fn exit(&mut self);
-    /// Advance the round timebase by `rounds`.
-    fn advance(&mut self, rounds: u64);
-    /// Add `v` to the named counter.
-    fn add(&mut self, name: &str, v: u64);
-    /// Record one observation in the named histogram.
-    fn observe(&mut self, name: &str, v: u64);
-
-    /// Record a completed phase as a leaf span covering `stats.rounds`
-    /// rounds, folding its totals into the standard `engine.*` counters.
-    fn record_run(&mut self, name: &str, stats: &RunStats) {
-        self.enter(name);
-        self.advance(stats.rounds as u64);
-        self.add("engine.messages", stats.messages);
-        self.add("engine.bits", stats.total_bits);
-        self.add("engine.dropped", stats.dropped);
-        self.exit();
-    }
 }
 
 /// The telemetry observer: enables shard staging in the engine and folds
@@ -211,24 +178,6 @@ impl RunObserver for &mut Collector {
 
     fn on_finish(&mut self, stats: &RunStats) {
         self.finish_engine_run(stats);
-    }
-}
-
-impl Recorder for Collector {
-    fn enter(&mut self, name: &str) {
-        Collector::enter(self, name);
-    }
-    fn exit(&mut self) {
-        Collector::exit(self);
-    }
-    fn advance(&mut self, rounds: u64) {
-        Collector::advance(self, rounds);
-    }
-    fn add(&mut self, name: &str, v: u64) {
-        Collector::add(self, name, v);
-    }
-    fn observe(&mut self, name: &str, v: u64) {
-        Collector::observe(self, name, v);
     }
 }
 

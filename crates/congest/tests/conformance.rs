@@ -5,7 +5,7 @@
 use congest::conformance::{check_protocol, FloodProtocol, Violation};
 use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::{grid, path, star};
-use congest::runtime::{Ctx, EngineMode, MessageSize, Network, NodeProtocol};
+use congest::runtime::{Ctx, MessageSize, Network, NodeProtocol};
 
 #[derive(Clone, Debug)]
 struct Payload(u64);
@@ -68,7 +68,7 @@ fn cap_violation_caught_with_round_and_edge_provenance() {
     let net = Network::new(&g);
     let cap = net.cap_bits();
     let checked =
-        check_protocol(&net, 3, || (0..6).map(|_| CapHog { done: false }).collect()).expect("run");
+        check_protocol(&net, || (0..6).map(|_| CapHog { done: false }).collect()).expect("run");
     assert!(!checked.report.is_clean());
     // Star center is node 0; its first neighbor is node 1.
     assert!(
@@ -82,12 +82,6 @@ fn cap_violation_caught_with_round_and_edge_provenance() {
         "missing the expected provenance: {}",
         checked.report.render()
     );
-    // No engine divergence: both engines audit identically.
-    assert!(!checked
-        .report
-        .violations
-        .iter()
-        .any(|v| matches!(v, Violation::EngineDivergence { .. })));
 }
 
 #[test]
@@ -95,9 +89,8 @@ fn cross_non_edge_send_caught_with_provenance() {
     let n = 7;
     let g = path(n);
     let net = Network::new(&g);
-    let checked =
-        check_protocol(&net, 2, || (0..n).map(|_| CrossSender { n, done: false }).collect())
-            .expect("run");
+    let checked = check_protocol(&net, || (0..n).map(|_| CrossSender { n, done: false }).collect())
+        .expect("run");
     assert!(
         checked.report.violations.contains(&Violation::NonNeighborSend {
             round: 2,
@@ -153,7 +146,7 @@ fn honest_protocols_are_clean_even_under_faults() {
     let g = grid(5, 4);
     let plan = FaultPlan::new(8).with_drop_rate(0.15).with_delay(0.1, 2);
     let net = Network::new(&g).with_faults(plan);
-    let checked = check_protocol(&net, 4, || {
+    let checked = check_protocol(&net, || {
         Reliable::wrap_all(FloodProtocol::instances(g.n(), 0), RetryConfig::default())
     })
     .expect("faulted reliable flood");
@@ -165,13 +158,13 @@ fn honest_protocols_are_clean_even_under_faults() {
 }
 
 #[test]
-fn audit_findings_are_element_wise_identical_across_engines() {
+fn audit_findings_replay_in_round_then_sender_order() {
     // A protocol that breaches the model both ways on a schedule spread
     // over many nodes and rounds: every third node over-sends to its first
     // neighbor, every fourth sends to a deliberate non-neighbor. Audited
-    // runs must yield the *same* `Vec<Violation>` — same length, same
-    // order, same round/edge provenance — whether the lanes are one or
-    // many, fault-free or faulted.
+    // runs must report the findings in (round, sender) order, and a replay
+    // must yield the *same* `Vec<Violation>` — same length, same order,
+    // same round/edge provenance — fault-free or faulted.
     #[derive(Debug)]
     struct Misbehaver {
         n: usize,
@@ -203,42 +196,22 @@ fn audit_findings_are_element_wise_identical_across_engines() {
     }
     let g = grid(6, 5);
     let make = || (0..g.n()).map(|_| Misbehaver { n: g.n(), done: false }).collect::<Vec<_>>();
+    let provenance = |v: &Violation| match *v {
+        Violation::CapExceeded { round, from, .. }
+        | Violation::NonNeighborSend { round, from, .. } => (round, from),
+        ref other => panic!("unexpected finding {other:?}"),
+    };
     for plan in [None, Some(FaultPlan::new(23).with_drop_rate(0.25).with_delay(0.15, 2))] {
-        let base = match &plan {
+        let net = match &plan {
             Some(p) => Network::new(&g).with_faults(p.clone()),
             None => Network::new(&g),
         };
-        let seq = base
-            .clone()
-            .with_engine(EngineMode::Sequential)
-            .exec(make())
-            .audited()
-            .run()
-            .expect("sequential audited run");
-        assert!(!seq.violations.is_empty(), "the probe protocol must actually misbehave");
-        for threads in [2usize, 3, 7] {
-            let par = base
-                .clone()
-                .with_engine(EngineMode::Parallel { threads })
-                .exec(make())
-                .audited()
-                .run()
-                .expect("parallel audited run");
-            assert_eq!(
-                par.violations.len(),
-                seq.violations.len(),
-                "faulted={}: violation count diverged at {threads} threads",
-                plan.is_some()
-            );
-            for (i, (s, p)) in seq.violations.iter().zip(&par.violations).enumerate() {
-                assert_eq!(
-                    s,
-                    p,
-                    "faulted={}: violation {i} diverged at {threads} threads",
-                    plan.is_some()
-                );
-            }
-            assert_eq!(par.stats, seq.stats);
-        }
+        let first = net.exec(make()).audited().run().expect("audited run");
+        assert!(!first.violations.is_empty(), "the probe protocol must actually misbehave");
+        let order: Vec<_> = first.violations.iter().map(provenance).collect();
+        assert!(order.windows(2).all(|w| w[0] <= w[1]), "findings out of order: {order:?}");
+        let replay = net.exec(make()).audited().run().expect("audited replay");
+        assert_eq!(replay.violations, first.violations, "faulted={}", plan.is_some());
+        assert_eq!(replay.stats, first.stats);
     }
 }

@@ -1,55 +1,31 @@
 //! Fault-injection behaviour: deterministic schedules that replay
-//! identically across engines, loss tolerance through `Reliable`, and the
-//! negative paths — every budget exhaustion must surface as a clean
-//! `RuntimeError`, never a panic or a hang.
+//! identically, loss tolerance through `Reliable`, and the negative paths
+//! — every budget exhaustion must surface as a clean `RuntimeError`, never
+//! a panic or a hang.
 
 use congest::conformance::FloodProtocol;
 use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::{grid, path, random_connected_m};
-use congest::graph::Graph;
-use congest::runtime::{Ctx, EngineMode, MessageSize, Network, NodeProtocol, RuntimeError};
-
-/// Run the same faulted protocol on the sequential engine and on 2-, 3-,
-/// and 5-thread parallel engines; all observables must be bit-identical.
-fn assert_faulted_engines_agree<P, F>(label: &str, g: &Graph, plan: &FaultPlan, make: F)
-where
-    P: NodeProtocol + Send + std::fmt::Debug,
-    P::Msg: Send + Sync,
-    F: Fn() -> Vec<P>,
-{
-    let reference = Network::new(g).with_faults(plan.clone());
-    let ref_out = reference.exec(make()).traced().run_sequential().expect("reference run");
-    let ref_states = format!("{:?}", ref_out.nodes);
-    for threads in [2usize, 3, 5] {
-        let net =
-            Network::new(g).with_faults(plan.clone()).with_engine(EngineMode::Parallel { threads });
-        let out = net.exec(make()).traced().run().expect("parallel run");
-        assert_eq!(out.stats, ref_out.stats, "{label}: stats diverged at {threads} threads");
-        assert_eq!(
-            out.trace.rounds, ref_out.trace.rounds,
-            "{label}: trace diverged at {threads} threads"
-        );
-        assert_eq!(
-            format!("{:?}", out.nodes),
-            ref_states,
-            "{label}: node states diverged at {threads} threads"
-        );
-    }
-}
+use congest::runtime::{Ctx, MessageSize, Network, NodeProtocol, RuntimeError};
 
 #[test]
-fn fault_schedule_is_identical_across_engines_and_replays() {
+fn fault_schedule_replays_identically() {
     for seed in [3u64, 17, 99] {
         let g = random_connected_m(48, 90, seed);
         let plan = FaultPlan::new(seed).with_drop_rate(0.25).with_delay(0.2, 3);
         let make = || Reliable::wrap_all(FloodProtocol::instances(48, 0), RetryConfig::default());
-        assert_faulted_engines_agree(&format!("reliable-flood seed {seed}"), &g, &plan, make);
-
-        // Replay: the same seed must reproduce the run exactly.
-        let net = Network::new(&g).with_faults(plan.clone());
-        let a = net.run_sequential(make()).expect("first replay");
-        let b = net.run_sequential(make()).expect("second replay");
-        assert_eq!(a.stats, b.stats, "seed {seed} did not replay");
+        // The same seed must reproduce the run exactly: statistics,
+        // per-round trace, and every node's final state.
+        let net = Network::new(&g).with_faults(plan);
+        let a = net.exec(make()).traced().run().expect("first replay");
+        let b = net.exec(make()).traced().run().expect("second replay");
+        assert_eq!(a.stats, b.stats, "seed {seed}: stats did not replay");
+        assert_eq!(a.trace.rounds, b.trace.rounds, "seed {seed}: trace did not replay");
+        assert_eq!(
+            format!("{:?}", a.nodes),
+            format!("{:?}", b.nodes),
+            "seed {seed}: node states did not replay"
+        );
         assert!(a.stats.dropped > 0, "seed {seed}: a 25% drop plan dropped nothing");
     }
 }
@@ -98,18 +74,16 @@ fn retry_budget_exhaustion_is_an_error_not_a_hang() {
     let g = path(4);
     let plan = FaultPlan::new(1).with_drop_rate(1.0);
     let cfg = RetryConfig { base_timeout: 2, max_attempts: 3 };
-    for engine in [EngineMode::Sequential, EngineMode::Parallel { threads: 3 }] {
-        let net = Network::new(&g).with_faults(plan.clone()).with_engine(engine);
-        let err = net
-            .run(Reliable::wrap_all(FloodProtocol::instances(4, 0), cfg))
-            .expect_err("total loss must fail");
-        match err {
-            RuntimeError::RetryBudgetExhausted { from, attempts, .. } => {
-                assert_eq!(from, 0, "node 0 is the only sender");
-                assert_eq!(attempts, 3);
-            }
-            other => panic!("expected RetryBudgetExhausted, got {other:?}"),
+    let err = Network::new(&g)
+        .with_faults(plan)
+        .run(Reliable::wrap_all(FloodProtocol::instances(4, 0), cfg))
+        .expect_err("total loss must fail");
+    match err {
+        RuntimeError::RetryBudgetExhausted { from, attempts, .. } => {
+            assert_eq!(from, 0, "node 0 is the only sender");
+            assert_eq!(attempts, 3);
         }
+        other => panic!("expected RetryBudgetExhausted, got {other:?}"),
     }
 }
 

@@ -8,7 +8,7 @@ use congest::conformance::FloodProtocol;
 use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::{grid, path, random_connected_m, star};
 use congest::graph::{Graph, NodeId};
-use congest::runtime::{EngineMode, Network, RunObserver, RunStats};
+use congest::runtime::{Network, RunObserver, RunStats};
 use congest::telemetry::Collector;
 use proptest::prelude::*;
 
@@ -41,8 +41,8 @@ fn arb_network() -> impl Strategy<Value = (String, Graph, Option<FaultPlan>)> {
     )
 }
 
-fn net_for<'g>(g: &'g Graph, plan: &Option<FaultPlan>, mode: EngineMode) -> Network<'g> {
-    let net = Network::new(g).with_engine(mode);
+fn net_for<'g>(g: &'g Graph, plan: &Option<FaultPlan>) -> Network<'g> {
+    let net = Network::new(g);
     match plan {
         Some(p) => net.with_faults(p.clone()),
         None => net,
@@ -58,25 +58,19 @@ proptest! {
     #[test]
     fn composed_observers_do_not_perturb_the_run(
         input in arb_network(),
-        mode_pick in 0usize..3,
         origin_pick in 0usize..1000,
     ) {
         let (name, g, plan) = input;
         let origin = origin_pick % g.n();
-        let mode = match mode_pick {
-            0 => EngineMode::Sequential,
-            1 => EngineMode::Parallel { threads: 3 },
-            _ => EngineMode::Auto,
-        };
         let make = || {
             Reliable::wrap_all(FloodProtocol::instances(g.n(), origin), RetryConfig::default())
         };
 
-        let bare = net_for(&g, &plan, mode).run(make()).expect("bare run");
-        let traced_alone =
-            net_for(&g, &plan, mode).exec(make()).traced().run().expect("traced run");
+        let net = net_for(&g, &plan);
+        let bare = net.run(make()).expect("bare run");
+        let traced_alone = net.exec(make()).traced().run().expect("traced run");
         let mut col = Collector::new();
-        let full = net_for(&g, &plan, mode)
+        let full = net
             .exec(make())
             .traced()
             .audited()
@@ -141,30 +135,28 @@ impl RunObserver for &mut CountingObserver {
 }
 
 #[test]
-fn custom_observer_sees_every_delivered_message_under_every_engine() {
+fn custom_observer_sees_every_delivered_message() {
     let g = grid(7, 6);
     let plan = FaultPlan::new(41).with_drop_rate(0.2).with_delay(0.1, 3);
-    for mode in [EngineMode::Sequential, EngineMode::Parallel { threads: 4 }] {
-        let net = Network::new(&g).with_engine(mode).with_faults(plan.clone());
-        let mut counter = CountingObserver::default();
-        let run = net
-            .run_with(
-                Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()),
-                &mut counter,
-            )
-            .expect("observed run");
-        // `on_message` fires once per *accepted* message — delayed ones
-        // included, dropped ones not — which is exactly `stats.messages`.
-        assert_eq!(counter.messages, run.stats.messages, "{mode:?}");
-        assert_eq!(counter.bits, run.stats.total_bits, "{mode:?}");
-        assert_eq!(counter.finishes, 1, "{mode:?}");
-        assert_eq!(counter.finished_stats, Some(run.stats), "{mode:?}");
-        // One start/end pair per executed round (trailing quiet rounds
-        // included — the hooks see every loop iteration).
-        assert_eq!(counter.round_starts, counter.round_ends, "{mode:?}");
-        assert!(counter.round_starts >= run.stats.rounds, "{mode:?}");
-        assert!(run.stats.dropped > 0, "the plan should actually drop something");
-    }
+    let net = Network::new(&g).with_faults(plan);
+    let mut counter = CountingObserver::default();
+    let run = net
+        .run_with(
+            Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()),
+            &mut counter,
+        )
+        .expect("observed run");
+    // `on_message` fires once per *accepted* message — delayed ones
+    // included, dropped ones not — which is exactly `stats.messages`.
+    assert_eq!(counter.messages, run.stats.messages);
+    assert_eq!(counter.bits, run.stats.total_bits);
+    assert_eq!(counter.finishes, 1);
+    assert_eq!(counter.finished_stats, Some(run.stats));
+    // One start/end pair per executed round (trailing quiet rounds
+    // included — the hooks see every loop iteration).
+    assert_eq!(counter.round_starts, counter.round_ends);
+    assert!(counter.round_starts >= run.stats.rounds);
+    assert!(run.stats.dropped > 0, "the plan should actually drop something");
 }
 
 #[test]

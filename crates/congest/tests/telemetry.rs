@@ -1,38 +1,36 @@
-//! Cross-engine determinism of the telemetry subsystem.
+//! Determinism of the telemetry subsystem.
 //!
-//! The contract (see `congest::telemetry` module docs): an instrumented
-//! run exports **byte-identical** trace and metrics files under every
-//! `EngineMode`, fault-free and faulted alike. These tests run the same
-//! instrumented workload on the sequential and the parallel engine and
-//! compare the raw export strings.
+//! The contract (see `congest::telemetry` module docs): replaying an
+//! instrumented run exports **byte-identical** trace and metrics files,
+//! fault-free and faulted alike. These tests run the same instrumented
+//! workload twice and compare the raw export strings.
 
 use congest::bfs::BfsTreeProtocol;
 use congest::conformance::FloodProtocol;
 use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::grid;
-use congest::runtime::{EngineMode, Network};
+use congest::runtime::Network;
 use congest::telemetry::Collector;
 
-/// Run the workload once per engine mode and return the two exports.
+/// Run the workload twice and return the two exports.
 fn exports_for<F>(workload: F) -> Vec<(String, String)>
 where
-    F: Fn(&mut Collector, EngineMode),
+    F: Fn(&mut Collector),
 {
-    [EngineMode::Sequential, EngineMode::Parallel { threads: 4 }]
-        .into_iter()
-        .map(|mode| {
+    (0..2)
+        .map(|_| {
             let mut col = Collector::new();
-            workload(&mut col, mode);
+            workload(&mut col);
             (col.to_chrome_jsonl(), col.metrics_json())
         })
         .collect()
 }
 
 #[test]
-fn fault_free_exports_are_byte_identical_across_engines() {
+fn fault_free_exports_replay_byte_identically() {
     let g = grid(6, 5);
-    let exports = exports_for(|col, mode| {
-        let net = Network::new(&g).with_engine(mode);
+    let exports = exports_for(|col| {
+        let net = Network::new(&g);
         col.enter("flood");
         net.exec(FloodProtocol::instances(g.n(), 0)).telemetry(col).run().expect("flood");
         col.exit();
@@ -40,17 +38,17 @@ fn fault_free_exports_are_byte_identical_across_engines() {
         net.exec(BfsTreeProtocol::instances(g.n(), 0)).telemetry(col).run().expect("bfs");
         col.exit();
     });
-    assert_eq!(exports[0].0, exports[1].0, "trace JSONL differs across engines");
-    assert_eq!(exports[0].1, exports[1].1, "metrics JSON differs across engines");
+    assert_eq!(exports[0].0, exports[1].0, "trace JSONL differs on replay");
+    assert_eq!(exports[0].1, exports[1].1, "metrics JSON differs on replay");
     assert!(exports[0].0.contains("\"ph\":\"X\""));
 }
 
 #[test]
-fn faulted_exports_are_byte_identical_across_engines() {
+fn faulted_exports_replay_byte_identically() {
     let g = grid(6, 5);
     let plan = FaultPlan::new(19).with_drop_rate(0.3);
-    let exports = exports_for(|col, mode| {
-        let net = Network::new(&g).with_engine(mode).with_faults(plan.clone());
+    let exports = exports_for(|col| {
+        let net = Network::new(&g).with_faults(plan.clone());
         col.enter("reliable-bfs");
         net.exec(Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()))
             .telemetry(col)
@@ -58,16 +56,14 @@ fn faulted_exports_are_byte_identical_across_engines() {
             .expect("reliable bfs under 30% loss");
         col.exit();
     });
-    assert_eq!(exports[0].0, exports[1].0, "faulted trace JSONL differs across engines");
-    assert_eq!(exports[0].1, exports[1].1, "faulted metrics JSON differs across engines");
+    assert_eq!(exports[0].0, exports[1].0, "faulted trace JSONL differs on replay");
+    assert_eq!(exports[0].1, exports[1].1, "faulted metrics JSON differs on replay");
 }
 
 #[test]
 fn faulted_run_records_retries_and_edge_loads() {
     let g = grid(6, 5);
-    let net = Network::new(&g)
-        .with_engine(EngineMode::Sequential)
-        .with_faults(FaultPlan::new(19).with_drop_rate(0.3));
+    let net = Network::new(&g).with_faults(FaultPlan::new(19).with_drop_rate(0.3));
     let mut col = Collector::new();
     col.enter("reliable-flood");
     net.exec(Reliable::wrap_all(FloodProtocol::instances(g.n(), 0), RetryConfig::default()))
@@ -99,7 +95,7 @@ fn faulted_run_records_retries_and_edge_loads() {
 fn telemetry_run_matches_untelemetered_run() {
     // Recording must not perturb the run itself.
     let g = grid(6, 5);
-    let net = Network::new(&g).with_engine(EngineMode::Sequential);
+    let net = Network::new(&g);
     let plain = net.run(FloodProtocol::instances(g.n(), 0)).expect("plain");
     let mut col = Collector::new();
     let telem = net

@@ -6,13 +6,13 @@
 //! The optimized protocols must reproduce the reference round for round:
 //! the same per-round [`RoundTrace`](congest::runtime::RoundTrace), the same
 //! [`RunStats`], the same aggregates at every node and the same register
-//! copy at every node, on both engines and both broadcast schedules.
+//! copy at every node, on both broadcast schedules.
 
 use congest::aggregate::{AggregateBatchProtocol, CommOp};
 use congest::bfs::build_bfs_tree;
 use congest::generators::{balanced_tree, dumbbell, path, random_connected, star};
 use congest::graph::{Graph, NodeId};
-use congest::runtime::{EngineMode, Network, NodeProtocol, RunStats, Trace};
+use congest::runtime::{Network, NodeProtocol, RunStats, Trace};
 use congest::tree_comm::{BroadcastRegisterProtocol, GatherRegisterProtocol, Register, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -332,7 +332,6 @@ const OPS: [CommOp; 6] =
     [CommOp::Sum, CommOp::Xor, CommOp::Min, CommOp::Max, CommOp::Or, CommOp::And];
 const PS: [usize; 5] = [0, 1, 7, 64, 513];
 const QS: [u64; 6] = [1, 5, 18, 19, 63, 64];
-const ENGINES: [EngineMode; 2] = [EngineMode::Sequential, EngineMode::Parallel { threads: 2 }];
 
 /// The five topologies, each with the root of its BFS tree.
 fn topologies() -> Vec<(&'static str, Graph, NodeId)> {
@@ -345,12 +344,8 @@ fn topologies() -> Vec<(&'static str, Graph, NodeId)> {
     ]
 }
 
-/// Run `nodes` traced on `net`'s configured engine.
-fn traced<P>(net: &Network<'_>, nodes: Vec<P>) -> (Vec<P>, RunStats, Trace)
-where
-    P: NodeProtocol + Send,
-    P::Msg: Send + Sync,
-{
+/// Run `nodes` traced on `net`.
+fn traced<P: NodeProtocol>(net: &Network<'_>, nodes: Vec<P>) -> (Vec<P>, RunStats, Trace) {
     let out = net.exec(nodes).traced().run().expect("run succeeds");
     (out.nodes, out.stats, out.trace)
 }
@@ -380,14 +375,13 @@ struct Cell {
     p: usize,
     q: u64,
     op: CommOp,
-    engine: EngineMode,
     /// A narrowed bandwidth cap (more chunks per value), if any.
     bandwidth: Option<u64>,
 }
 
 impl Cell {
     fn network(&self) -> Network<'_> {
-        let net = Network::new(&self.graph).with_engine(self.engine);
+        let net = Network::new(&self.graph);
         match self.bandwidth {
             Some(b) => net.with_bandwidth(b),
             None => net,
@@ -395,26 +389,19 @@ impl Cell {
     }
 }
 
-/// Every (topology, p, q) cell once. The op and the engine rotate across
-/// cells so that each op meets every p and q, and both engines meet every
-/// p, q and op; a narrowed bandwidth adds chunking to some small batches.
-/// The parallel engine spawns its lanes every round, so the longest runs
-/// (the widest values of the largest batch) stay sequential.
+/// Every (topology, p, q) cell once. The op rotates across cells so that
+/// each op meets every p and q; a narrowed bandwidth adds chunking to some
+/// small batches.
 fn cells() -> Vec<Cell> {
     let mut out = Vec::new();
     for (t, (name, graph, root)) in topologies().into_iter().enumerate() {
         for (pi, p) in PS.into_iter().enumerate() {
             for (qi, q) in QS.into_iter().enumerate() {
                 let op = OPS[(qi + pi + t) % OPS.len()];
-                let engine = if p > 64 && q > 32 {
-                    EngineMode::Sequential
-                } else {
-                    ENGINES[(pi + t) % ENGINES.len()]
-                };
                 let bandwidth = if (qi + t) % 3 == 1 && p <= 64 { Some(8) } else { None };
-                let label = format!("{name} p={p} q={q} {op:?} {engine:?} bw={bandwidth:?}");
+                let label = format!("{name} p={p} q={q} {op:?} bw={bandwidth:?}");
                 let graph = graph.clone();
-                out.push(Cell { label, graph, root, p, q, op, engine, bandwidth });
+                out.push(Cell { label, graph, root, p, q, op, bandwidth });
             }
         }
     }
