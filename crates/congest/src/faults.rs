@@ -160,14 +160,6 @@ impl FaultPlan {
         self
     }
 
-    /// Degrade `count` seed-chosen edges of `g` to `cap_bits` per round.
-    pub fn with_random_degraded(mut self, g: &Graph, count: usize, cap_bits: u64) -> Self {
-        for (u, v) in g.sample_edges(count, self.seed ^ 0xDE_64A) {
-            self.degraded.push((u, v, cap_bits));
-        }
-        self
-    }
-
     /// Whether the link `from -> to` is down in `round`.
     pub(crate) fn link_is_down(&self, round: usize, from: NodeId, to: NodeId) -> bool {
         self.link_down.iter().any(|l| {
@@ -369,11 +361,6 @@ impl<P: NodeProtocol> Reliable<P> {
     /// The wrapped protocol state.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// Unwrap into the inner protocol state.
-    pub fn into_inner(self) -> P {
-        self.inner
     }
 
     fn link_mut(links: &mut [LinkState<P::Msg>], peer: NodeId) -> Option<&mut LinkState<P::Msg>> {

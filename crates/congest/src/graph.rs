@@ -164,7 +164,7 @@ impl Graph {
     /// The same `(graph, count, seed)` always yields the same sample in the
     /// same order — the selection is a partial Fisher–Yates shuffle driven
     /// by a SplitMix64 stream, with no global RNG involved — so fault plans
-    /// built from it replay identically across engines and processes.
+    /// built from it replay identically across processes.
     pub fn sample_edges(&self, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
         let mut edges = self.edges.clone();
         let count = count.min(edges.len());

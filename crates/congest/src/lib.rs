@@ -61,6 +61,4 @@ pub mod telemetry;
 pub mod tree_comm;
 
 pub use graph::{Dist, Graph, NodeId};
-pub use runtime::{
-    Exec, Network, NodeProtocol, RoundLedger, RunObserver, RunOutput, RunStats, RuntimeError,
-};
+pub use runtime::{Exec, Network, NodeProtocol, RoundLedger, RunOutput, RunStats, RuntimeError};

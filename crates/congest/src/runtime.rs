@@ -170,27 +170,6 @@ impl<'a, M: MessageSize> Ctx<'a, M> {
         }
     }
 
-    /// Queue a batch of addressed messages in one call.
-    ///
-    /// Equivalent to calling [`send`](Self::send) for each pair, in order,
-    /// but lets the outbox grow in a single reservation.
-    pub fn send_many<I>(&mut self, msgs: I)
-    where
-        I: IntoIterator<Item = (NodeId, M)>,
-    {
-        self.out.extend(msgs);
-    }
-
-    /// Whether this run records telemetry (i.e. it was started with
-    /// [`Exec::telemetry`] attached). Protocols can use this to skip
-    /// building labels for [`mark`](Self::mark) on untelemetered runs;
-    /// [`count`](Self::count) and [`observe`](Self::observe) are cheap
-    /// enough to call unconditionally.
-    #[inline]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.tel.is_some()
-    }
-
     /// Emit an instant telemetry event at this node and round (e.g.
     /// `"became-leader"`). No-op unless the run records telemetry.
     #[inline]
@@ -335,8 +314,8 @@ impl Trace {
     ///
     /// Ties are resolved to the **first** such round. This tie-break is
     /// part of the API contract: peak rounds are compared when diffing
-    /// traces across engines and replays, so the choice must not depend
-    /// on iteration internals.
+    /// traces across replays, so the choice must not depend on iteration
+    /// internals.
     pub fn peak_round(&self) -> Option<(usize, &RoundTrace)> {
         let mut best: Option<(usize, &RoundTrace)> = None;
         for (i, r) in self.rounds.iter().enumerate() {
@@ -509,7 +488,7 @@ impl<'g> Network<'g> {
     /// Returns an error if a node sends to a non-neighbor, an edge exceeds
     /// the bandwidth cap, the round limit is hit, or `nodes.len() != n`.
     pub fn run<P: NodeProtocol>(&self, nodes: Vec<P>) -> Result<RunOutput<P>, RuntimeError> {
-        self.run_with(nodes, ())
+        self.run_recorded(nodes, Recorders::default())
     }
 
     /// Start building an observed run.
@@ -537,35 +516,38 @@ impl<'g> Network<'g> {
         Exec { net: self, nodes, trace: (), audit: (), tel: () }
     }
 
-    /// [`run`](Self::run) with a caller-supplied [`RunObserver`] pipeline.
+    /// The one round loop: execute `nodes` until every node is done and no
+    /// message is in flight, feeding each round to the attached recorders.
     ///
-    /// This is the generic substrate under [`exec`](Self::exec): the three
-    /// built-in observers (`&mut Trace`, `&mut Vec<Violation>`,
-    /// `&mut Collector`) and any custom observer compose with nested
-    /// `(A, B)` tuples.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run), except that model breaches are reported
-    /// through [`RunObserver::on_violation`] instead of aborting when
-    /// `obs.audits()` is true.
-    pub fn run_with<P: NodeProtocol, O: RunObserver>(
+    /// The trace and the collector see a round after its messages are
+    /// routed and its nodes polled for [`NodeProtocol::failure`]; on
+    /// success the trace is truncated to the measured round count and the
+    /// collector's cursor advances by it. With an audit `Vec` attached,
+    /// model breaches are pushed there instead of aborting the run.
+    fn run_recorded<P: NodeProtocol>(
         &self,
         mut nodes: Vec<P>,
-        mut obs: O,
+        mut rec: Recorders<'_>,
     ) -> Result<RunOutput<P>, RuntimeError> {
         let n = self.graph.n();
         if nodes.len() != n {
             return Err(RuntimeError::WrongNodeCount { expected: n, got: nodes.len() });
         }
-        let mut core = ExecCore::new(n, self.graph.max_degree(), &obs);
+        let mut core = ExecCore::new(n, self.graph.max_degree(), rec.tel.is_some());
+        if let Some(tel) = rec.tel.as_deref_mut() {
+            tel.begin_engine_run();
+        }
         for round in 0..self.max_rounds {
-            obs.on_round_start(round);
-            let round_trace = core.run_round(self, round, &mut nodes, &mut obs)?;
+            let round_trace = core.run_round(self, round, &mut nodes, rec.audit.as_deref_mut())?;
             if let Some(e) = nodes.iter().find_map(|p| p.failure()) {
                 return Err(e);
             }
-            obs.on_round_end(round, round_trace, &mut core.shard);
+            if let Some(trace) = rec.trace.as_deref_mut() {
+                trace.rounds.push(round_trace);
+            }
+            if let (Some(tel), Some(shard)) = (rec.tel.as_deref_mut(), core.shard.as_mut()) {
+                tel.engine_round(round_trace, shard);
+            }
             // Delayed messages that matured this round arrive with the next
             // round's inboxes, after every regular send; like a regular
             // send, a matured delivery keeps the run active.
@@ -574,7 +556,12 @@ impl<'g> Network<'g> {
             }
             if core.quiescent() && nodes.iter().all(|p| p.is_done()) {
                 core.stats.rounds = core.last_active_round;
-                obs.on_finish(&core.stats);
+                if let Some(trace) = rec.trace {
+                    trace.rounds.truncate(core.stats.rounds);
+                }
+                if let Some(tel) = rec.tel {
+                    tel.finish_engine_run(&core.stats);
+                }
                 return Ok(RunOutput { nodes, stats: core.stats, trace: (), violations: () });
             }
             core.advance();
@@ -583,206 +570,49 @@ impl<'g> Network<'g> {
     }
 }
 
-/// Hooks into the execution core, composable into a pipeline.
-///
-/// One observer pipeline is attached per run (via the [`Exec`] builder or
-/// [`Network::run_with`]); the engine invokes the hooks at fixed points of
-/// its round loop:
-///
-/// * [`on_round_start`](Self::on_round_start) — before any `on_round` call
-///   of the round;
-/// * [`on_message`](Self::on_message) — once per message accepted for
-///   delivery (immediate or delayed, not dropped), in sender order; only
-///   invoked when [`observes_messages`](Self::observes_messages) is true;
-/// * [`on_violation`](Self::on_violation) — once per model breach, in
-///   sender order; only in audit mode ([`audits`](Self::audits));
-/// * [`on_round_end`](Self::on_round_end) — after the round's messages
-///   are routed, with the round's aggregate [`RoundTrace`] and the run's
-///   telemetry staging [`Shard`];
-/// * [`on_finish`](Self::on_finish) — once, with the final [`RunStats`],
-///   when the run completes successfully (never on an error path).
-///
-/// `on_message` and `on_violation` fire while a sender's outbox is routed,
-/// right after that node's `on_round`, so within a round they arrive in
-/// (sender, outbox position) order.
-///
-/// Every hook has a no-op default, `()` is the empty pipeline, and two
-/// pipelines compose as an `(A, B)` tuple — so a disabled concern costs
-/// one statically known untaken branch and `net.run(..)` monomorphizes to
-/// the bare engine. The three built-in observers are `&mut Trace`,
-/// `&mut Vec<Violation>` (audit), and `&mut Collector` (telemetry).
-pub trait RunObserver {
-    /// Whether model breaches should be recorded through
-    /// [`on_violation`](Self::on_violation) instead of aborting the run.
-    fn audits(&self) -> bool {
-        false
-    }
-
-    /// Whether the run stages protocol telemetry: the run's [`Shard`]
-    /// collects what [`Ctx::mark`]/[`Ctx::count`]/[`Ctx::observe`] record.
-    fn collects_telemetry(&self) -> bool {
-        false
-    }
-
-    /// Whether [`on_message`](Self::on_message) should be invoked. The
-    /// per-message hook is gated so the common observers (trace, audit,
-    /// telemetry) pay nothing for it.
-    fn observes_messages(&self) -> bool {
-        false
-    }
-
-    /// Called at the top of every round, before any `on_round` call.
-    fn on_round_start(&mut self, round: usize) {
-        let _ = round;
-    }
-
-    /// Called once per message accepted for delivery — immediately or
-    /// after an injected delay, but not for dropped messages — at the
-    /// round it was sent. Gated by
-    /// [`observes_messages`](Self::observes_messages).
-    fn on_message(&mut self, round: usize, from: NodeId, to: NodeId, bits: u64) {
-        let _ = (round, from, to, bits);
-    }
-
-    /// Called once per audited model breach, in sender order. Only invoked
-    /// when [`audits`](Self::audits) is true; otherwise the first breach
-    /// aborts the run with a [`RuntimeError`].
-    fn on_violation(&mut self, violation: &Violation) {
-        let _ = violation;
-    }
-
-    /// Called at the end of every round with its aggregate trace and the
-    /// round's telemetry staging buffer (empty unless
-    /// [`collects_telemetry`](Self::collects_telemetry) is true).
-    fn on_round_end(&mut self, round: usize, trace: RoundTrace, shard: &mut Shard) {
-        let _ = (round, trace, shard);
-    }
-
-    /// Called once, after the final round, when the run completes
-    /// successfully.
-    fn on_finish(&mut self, stats: &RunStats) {
-        let _ = stats;
-    }
+/// The recorders one run feeds: a [`Trace`] gets every round's
+/// [`RoundTrace`], an audit `Vec` every model breach, a [`Collector`]
+/// every round's accounting and telemetry. `Network::run` attaches none.
+#[derive(Default)]
+struct Recorders<'a> {
+    trace: Option<&'a mut Trace>,
+    audit: Option<&'a mut Vec<Violation>>,
+    tel: Option<&'a mut Collector>,
 }
 
-/// The empty pipeline: a bare run with no observation.
-impl RunObserver for () {}
-
-/// Composition: both observers receive every hook; the capability queries
-/// are OR-ed.
-impl<A: RunObserver, B: RunObserver> RunObserver for (A, B) {
-    fn audits(&self) -> bool {
-        self.0.audits() || self.1.audits()
-    }
-
-    fn collects_telemetry(&self) -> bool {
-        self.0.collects_telemetry() || self.1.collects_telemetry()
-    }
-
-    fn observes_messages(&self) -> bool {
-        self.0.observes_messages() || self.1.observes_messages()
-    }
-
-    fn on_round_start(&mut self, round: usize) {
-        self.0.on_round_start(round);
-        self.1.on_round_start(round);
-    }
-
-    fn on_message(&mut self, round: usize, from: NodeId, to: NodeId, bits: u64) {
-        self.0.on_message(round, from, to, bits);
-        self.1.on_message(round, from, to, bits);
-    }
-
-    fn on_violation(&mut self, violation: &Violation) {
-        self.0.on_violation(violation);
-        self.1.on_violation(violation);
-    }
-
-    fn on_round_end(&mut self, round: usize, trace: RoundTrace, shard: &mut Shard) {
-        self.0.on_round_end(round, trace, shard);
-        self.1.on_round_end(round, trace, shard);
-    }
-
-    fn on_finish(&mut self, stats: &RunStats) {
-        self.0.on_finish(stats);
-        self.1.on_finish(stats);
-    }
-}
-
-/// The tracing observer: records one [`RoundTrace`] per executed round and
-/// truncates trailing quiet rounds to the measured round count on finish
-/// (the single place that fixup happens).
-impl RunObserver for &mut Trace {
-    fn on_round_end(&mut self, _round: usize, trace: RoundTrace, _shard: &mut Shard) {
-        self.rounds.push(trace);
-    }
-
-    fn on_finish(&mut self, stats: &RunStats) {
-        self.rounds.truncate(stats.rounds);
-    }
-}
-
-/// The audit observer: switches the engine into audit mode and collects
-/// every [`Violation`] in deterministic (round, then sender) order.
-impl RunObserver for &mut Vec<Violation> {
-    fn audits(&self) -> bool {
-        true
-    }
-
-    fn on_violation(&mut self, violation: &Violation) {
-        self.push(violation.clone());
-    }
-}
-
+// A private module: other crates cannot name `Slot`, so the slot types
+// stay the ones the builder methods pick.
 mod sealed {
-    pub trait Sealed {}
-    impl Sealed for () {}
-    impl Sealed for super::Trace {}
-    impl Sealed for Vec<super::Violation> {}
-    impl Sealed for &mut crate::telemetry::Collector {}
-}
+    use super::{Collector, Trace, Violation};
 
-/// A slot of the [`Exec`] builder: either `()` (absent) or an owned
-/// artifact (a [`Trace`], a `Vec<Violation>`, a borrowed
-/// [`Collector`]) that lends itself out as the matching built-in
-/// [`RunObserver`] for the duration of the run. Sealed; the slot types are
-/// fixed by the builder methods.
-pub trait ObserverSlot: sealed::Sealed {
-    /// The observer this slot lends while the run executes.
-    type Obs<'a>: RunObserver
-    where
-        Self: 'a;
-
-    /// Borrow the slot as a live observer.
-    fn observer(&mut self) -> Self::Obs<'_>;
-}
-
-impl ObserverSlot for () {
-    type Obs<'a> = ();
-    fn observer(&mut self) -> Self::Obs<'_> {}
-}
-
-impl ObserverSlot for Trace {
-    type Obs<'a> = &'a mut Trace;
-    fn observer(&mut self) -> Self::Obs<'_> {
-        self
+    /// A slot of the [`Exec`](super::Exec) builder: `()` when its artifact
+    /// was not requested, else the artifact, lent to the run as `X`.
+    pub trait Slot<X> {
+        fn get(&mut self) -> Option<&mut X>;
     }
-}
 
-impl ObserverSlot for Vec<Violation> {
-    type Obs<'a> = &'a mut Vec<Violation>;
-    fn observer(&mut self) -> Self::Obs<'_> {
-        self
+    impl<X> Slot<X> for () {
+        fn get(&mut self) -> Option<&mut X> {
+            None
+        }
     }
-}
 
-impl ObserverSlot for &mut Collector {
-    type Obs<'a>
-        = &'a mut Collector
-    where
-        Self: 'a;
-    fn observer(&mut self) -> Self::Obs<'_> {
-        self
+    impl Slot<Trace> for Trace {
+        fn get(&mut self) -> Option<&mut Trace> {
+            Some(self)
+        }
+    }
+
+    impl Slot<Vec<Violation>> for Vec<Violation> {
+        fn get(&mut self) -> Option<&mut Vec<Violation>> {
+            Some(self)
+        }
+    }
+
+    impl Slot<Collector> for &mut Collector {
+        fn get(&mut self) -> Option<&mut Collector> {
+            Some(self)
+        }
     }
 }
 
@@ -862,9 +692,9 @@ impl<'n, 'g, P, T, A> Exec<'n, 'g, P, T, A, ()> {
 impl<P, T, A, C> Exec<'_, '_, P, T, A, C>
 where
     P: NodeProtocol,
-    T: ObserverSlot,
-    A: ObserverSlot,
-    C: ObserverSlot,
+    T: sealed::Slot<Trace>,
+    A: sealed::Slot<Vec<Violation>>,
+    C: sealed::Slot<Collector>,
 {
     /// Execute the run (like [`Network::run`]).
     ///
@@ -875,7 +705,8 @@ where
     /// instead of errors.
     pub fn run(self) -> Result<RunOutput<P, T, A>, RuntimeError> {
         let Exec { net, nodes, mut trace, mut audit, mut tel } = self;
-        let run = net.run_with(nodes, ((trace.observer(), audit.observer()), tel.observer()))?;
+        let rec = Recorders { trace: trace.get(), audit: audit.get(), tel: tel.get() };
+        let run = net.run_recorded(nodes, rec)?;
         Ok(RunOutput { nodes: run.nodes, stats: run.stats, trace, violations: audit })
     }
 }
@@ -900,7 +731,7 @@ pub struct RunOutput<P, T = (), A = ()> {
 
 /// The state of one run: the inbox double-buffer, the delay wheel, the
 /// reused outbox, router, and telemetry shard, and the run statistics.
-/// [`Network::run_with`] drives its round loop over this core, reusing
+/// [`Network::run_recorded`] drives its round loop over this core, reusing
 /// every buffer round after round so the steady state allocates nothing.
 struct ExecCore<M> {
     inboxes: Vec<Vec<(NodeId, M)>>,
@@ -909,31 +740,24 @@ struct ExecCore<M> {
     /// The current sender's outbox; always empty between senders.
     outbox: Vec<(NodeId, M)>,
     router: Router,
-    /// Telemetry emitted this round, in node order; the telemetry
-    /// observer drains it in [`RunObserver::on_round_end`] (empty on
-    /// untelemetered runs).
-    shard: Shard,
+    /// Telemetry emitted this round, in node order, which the collector
+    /// drains at the end of the round; `None` on untelemetered runs.
+    shard: Option<Shard>,
     stats: RunStats,
     last_active_round: usize,
-    auditing: bool,
-    telemetering: bool,
-    want_messages: bool,
 }
 
 impl<M: MessageSize> ExecCore<M> {
-    fn new<O: RunObserver>(n: usize, max_degree: usize, obs: &O) -> Self {
+    fn new(n: usize, max_degree: usize, telemetering: bool) -> Self {
         ExecCore {
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             next_inboxes: (0..n).map(|_| Vec::new()).collect(),
             wheel: DelayWheel::new(),
             outbox: Vec::new(),
             router: Router::new(max_degree),
-            shard: Shard::default(),
+            shard: telemetering.then(Shard::default),
             stats: RunStats::default(),
             last_active_round: 0,
-            auditing: obs.audits(),
-            telemetering: obs.collects_telemetry(),
-            want_messages: obs.observes_messages(),
         }
     }
 
@@ -941,17 +765,13 @@ impl<M: MessageSize> ExecCore<M> {
     /// its outbox as soon as it returns. Returns the round's trace, or the
     /// first non-audited model breach, which is the first in node order
     /// because routing follows node order.
-    fn run_round<P, O>(
+    fn run_round<P: NodeProtocol<Msg = M>>(
         &mut self,
         net: &Network<'_>,
         round: usize,
         nodes: &mut [P],
-        obs: &mut O,
-    ) -> Result<RoundTrace, RuntimeError>
-    where
-        P: NodeProtocol<Msg = M>,
-        O: RunObserver,
-    {
+        mut audit: Option<&mut Vec<Violation>>,
+    ) -> Result<RoundTrace, RuntimeError> {
         let n = nodes.len();
         let mut trace = RoundTrace::default();
         let mut any_sent = false;
@@ -963,12 +783,12 @@ impl<M: MessageSize> ExecCore<M> {
                 cap_bits: net.cap_bits,
                 neighbors: net.graph.neighbors(v),
                 out: &mut self.outbox,
-                tel: if self.telemetering { Some(&mut self.shard) } else { None },
+                tel: self.shard.as_mut(),
             };
             node.on_round(&mut ctx, &self.inboxes[v]);
             if !self.outbox.is_empty() {
                 any_sent = true;
-                self.route_outbox(net, v, round, &mut trace, obs)?;
+                self.route_outbox(net, v, round, &mut trace, audit.as_deref_mut())?;
             }
         }
         self.stats.messages += trace.messages;
@@ -982,8 +802,7 @@ impl<M: MessageSize> ExecCore<M> {
 
     /// Validate sender `from`'s outbox against the model, apply fault
     /// verdicts, and deliver each surviving message straight into the next
-    /// round's inboxes (or the delay wheel), reporting it to
-    /// [`RunObserver::on_message`].
+    /// round's inboxes (or the delay wheel).
     ///
     /// Per-edge load is accumulated in the router's rank-indexed slot
     /// array — one `O(log deg)` rank lookup per message, no per-sender
@@ -992,29 +811,27 @@ impl<M: MessageSize> ExecCore<M> {
     /// degree.
     ///
     /// A model breach aborts the run with an error, unless the run audits:
-    /// then it becomes a [`RunObserver::on_violation`] call and the outbox
-    /// keeps draining (audited cap overflows still deliver; audited
-    /// non-neighbor sends are discarded, as there is no edge to carry them).
+    /// then it is pushed onto `audit` and the outbox keeps draining
+    /// (audited cap overflows still deliver; audited non-neighbor sends are
+    /// discarded, as there is no edge to carry them).
     #[inline]
-    fn route_outbox<O: RunObserver>(
+    fn route_outbox(
         &mut self,
         net: &Network<'_>,
         from: NodeId,
         round: usize,
         trace: &mut RoundTrace,
-        obs: &mut O,
+        mut audit: Option<&mut Vec<Violation>>,
     ) -> Result<(), RuntimeError> {
-        let (auditing, telemetering, want_messages) =
-            (self.auditing, self.telemetering, self.want_messages);
         let ExecCore { next_inboxes, wheel, outbox, router, shard, stats, .. } = self;
         let cap = net.cap_bits;
         for (idx, (to, msg)) in outbox.drain(..).enumerate() {
             let Some(rank) = net.graph.neighbor_rank(from, to) else {
-                if auditing {
-                    obs.on_violation(&Violation::NonNeighborSend { round, from, to });
-                    continue; // no edge exists to carry the message
-                }
-                return Err(RuntimeError::NotANeighbor { round, from, to });
+                let Some(audit) = audit.as_deref_mut() else {
+                    return Err(RuntimeError::NotANeighbor { round, from, to });
+                };
+                audit.push(Violation::NonNeighborSend { round, from, to });
+                continue; // no edge exists to carry the message
             };
             let bits = msg.size_bits();
             if router.slots[rank] == 0 {
@@ -1023,7 +840,7 @@ impl<M: MessageSize> ExecCore<M> {
             router.slots[rank] += bits;
             let load = router.slots[rank];
             if load > cap {
-                if !auditing {
+                let Some(audit) = audit.as_deref_mut() else {
                     return Err(RuntimeError::BandwidthExceeded {
                         round,
                         from,
@@ -1031,8 +848,8 @@ impl<M: MessageSize> ExecCore<M> {
                         bits: load,
                         cap,
                     });
-                }
-                obs.on_violation(&Violation::CapExceeded { round, from, to, bits: load, cap });
+                };
+                audit.push(Violation::CapExceeded { round, from, to, bits: load, cap });
             }
             // Model validation passed (or was audited); now the fault plan
             // decides the message's fate. Dropped messages still loaded the
@@ -1059,16 +876,13 @@ impl<M: MessageSize> ExecCore<M> {
             }
             trace.messages += 1;
             trace.bits += bits;
-            if want_messages {
-                obs.on_message(round, from, to, bits);
-            }
             if delay == 0 {
                 next_inboxes[to].push((from, msg));
             } else {
                 wheel.schedule(delay, to, from, msg);
             }
         }
-        let edges = if telemetering { Some(&mut shard.edges) } else { None };
+        let edges = shard.as_mut().map(|s| &mut s.edges);
         router.flush(from, net.graph.neighbors(from), stats, trace, edges);
         Ok(())
     }

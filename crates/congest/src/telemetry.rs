@@ -25,7 +25,7 @@
 //! Everything a [`Collector`] records from the engine is **round-indexed,
 //! never wall-clock-timed**, and recorded in node order: the engine calls
 //! the nodes of a round in id order, and protocols and the router write
-//! into one staging [`Shard`] that the collector drains at the end of each
+//! into one staging shard that the collector drains at the end of each
 //! round, so replaying an instrumented run exports **byte-identical**
 //! trace and metrics files. The single explicitly non-deterministic input is
 //! [`Collector::wall_annotation`], an opt-in wall-clock note that is kept
@@ -53,7 +53,7 @@
 //!   congestion heatmap.
 
 use crate::graph::NodeId;
-use crate::runtime::{RoundLedger, RoundTrace, RunObserver, RunStats};
+use crate::runtime::{RoundLedger, RoundTrace, RunStats};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -146,7 +146,7 @@ impl Histogram {
 /// [`Ctx`](crate::runtime::Ctx) and the router adds per-edge loads, all in
 /// node order; the collector drains it at the end of every round.
 #[derive(Debug, Default)]
-pub struct Shard {
+pub(crate) struct Shard {
     /// `(node, label)` marks, in emission (= node) order.
     pub(crate) marks: Vec<(NodeId, String)>,
     /// Counter bumps, in emission order.
@@ -155,30 +155,6 @@ pub struct Shard {
     pub(crate) observations: Vec<(&'static str, u64)>,
     /// Per-edge offered load `(from, to, bits)` flushed by the router.
     pub(crate) edges: Vec<(NodeId, NodeId, u64)>,
-}
-
-/// The telemetry observer: enables shard staging in the engine and folds
-/// each round's accounting + shard contents into the collector, advancing
-/// its cursor by the run's measured rounds on finish. Attached by
-/// [`Exec::telemetry`](crate::runtime::Exec::telemetry).
-impl RunObserver for &mut Collector {
-    fn collects_telemetry(&self) -> bool {
-        true
-    }
-
-    fn on_round_start(&mut self, round: usize) {
-        if round == 0 {
-            self.begin_engine_run();
-        }
-    }
-
-    fn on_round_end(&mut self, _round: usize, trace: RoundTrace, shard: &mut Shard) {
-        self.engine_round(trace, shard);
-    }
-
-    fn on_finish(&mut self, stats: &RunStats) {
-        self.finish_engine_run(stats);
-    }
 }
 
 /// The telemetry sink: spans, counters, histograms, round samples, edge
@@ -536,7 +512,7 @@ impl Collector {
             let mut loads: Vec<(NodeId, NodeId, u64)> =
                 self.edges.iter().map(|(&(f, t), &b)| (f, t, b)).collect();
             // Hottest first; ties broken by (from, to) so the report is
-            // stable across engines and replays.
+            // stable across replays.
             loads.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
             let peak = loads.first().map_or(1, |l| l.2).max(1);
             const RAMP: &[u8] = b" .:-=+*#%@";

@@ -1,14 +1,15 @@
-//! Observer composition is free: attaching any combination of the built-in
-//! observers (trace, audit, telemetry) — or custom [`RunObserver`]s — must
-//! not perturb the run, and each observer must record the same artifact it
-//! records when attached alone.
+//! Observation is free: attaching any combination of the three recorders
+//! (trace, audit, telemetry) through the `exec` builder must not perturb
+//! the run, each recorder must record the same artifact it records when
+//! attached alone, and the trace must account for exactly the delivered
+//! traffic.
 
 use congest::bfs::BfsTreeProtocol;
-use congest::conformance::FloodProtocol;
+use congest::conformance::{validate_trace, FloodProtocol};
 use congest::faults::{FaultPlan, Reliable, RetryConfig};
 use congest::generators::{grid, path, random_connected_m, star};
-use congest::graph::{Graph, NodeId};
-use congest::runtime::{Network, RunObserver, RunStats};
+use congest::graph::Graph;
+use congest::runtime::Network;
 use congest::telemetry::Collector;
 use proptest::prelude::*;
 
@@ -97,78 +98,24 @@ proptest! {
     }
 }
 
-/// A custom observer exercising every hook, including the gated
-/// per-message one.
-#[derive(Default)]
-struct CountingObserver {
-    round_starts: usize,
-    round_ends: usize,
-    messages: u64,
-    bits: u64,
-    finishes: usize,
-    finished_stats: Option<RunStats>,
-}
-
-impl RunObserver for &mut CountingObserver {
-    fn observes_messages(&self) -> bool {
-        true
-    }
-    fn on_round_start(&mut self, _round: usize) {
-        self.round_starts += 1;
-    }
-    fn on_message(&mut self, _round: usize, _from: NodeId, _to: NodeId, bits: u64) {
-        self.messages += 1;
-        self.bits += bits;
-    }
-    fn on_round_end(
-        &mut self,
-        _round: usize,
-        _trace: congest::runtime::RoundTrace,
-        _shard: &mut congest::telemetry::Shard,
-    ) {
-        self.round_ends += 1;
-    }
-    fn on_finish(&mut self, stats: &RunStats) {
-        self.finishes += 1;
-        self.finished_stats = Some(*stats);
-    }
-}
-
+/// The trace counts every accepted message — delayed ones included, in
+/// the round they were sent, dropped ones not — so its sums equal the run
+/// statistics.
 #[test]
-fn custom_observer_sees_every_delivered_message() {
+fn trace_counts_every_delivered_message() {
     let g = grid(7, 6);
     let plan = FaultPlan::new(41).with_drop_rate(0.2).with_delay(0.1, 3);
     let net = Network::new(&g).with_faults(plan);
-    let mut counter = CountingObserver::default();
-    let run = net
-        .run_with(
-            Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()),
-            &mut counter,
-        )
+    let out = net
+        .exec(Reliable::wrap_all(BfsTreeProtocol::instances(g.n(), 0), RetryConfig::default()))
+        .traced()
+        .audited()
+        .run()
         .expect("observed run");
-    // `on_message` fires once per *accepted* message — delayed ones
-    // included, dropped ones not — which is exactly `stats.messages`.
-    assert_eq!(counter.messages, run.stats.messages);
-    assert_eq!(counter.bits, run.stats.total_bits);
-    assert_eq!(counter.finishes, 1);
-    assert_eq!(counter.finished_stats, Some(run.stats));
-    // One start/end pair per executed round (trailing quiet rounds
-    // included — the hooks see every loop iteration).
-    assert_eq!(counter.round_starts, counter.round_ends);
-    assert!(counter.round_starts >= run.stats.rounds);
-    assert!(run.stats.dropped > 0, "the plan should actually drop something");
-}
-
-#[test]
-fn tuple_composition_reaches_both_observers() {
-    let g = path(9);
-    let net = Network::new(&g);
-    let mut a = CountingObserver::default();
-    let mut b = CountingObserver::default();
-    let run = net.run_with(FloodProtocol::instances(9, 0), (&mut a, &mut b)).expect("composed run");
-    for (label, c) in [("left", &a), ("right", &b)] {
-        assert_eq!(c.messages, run.stats.messages, "{label}");
-        assert_eq!(c.finishes, 1, "{label}");
-        assert_eq!(c.finished_stats, Some(run.stats), "{label}");
-    }
+    let messages: u64 = out.trace.rounds.iter().map(|r| r.messages).sum();
+    assert_eq!(messages, out.stats.messages);
+    assert_eq!(out.trace.total_bits(), out.stats.total_bits);
+    assert!(out.stats.dropped > 0, "the plan should actually drop something");
+    assert!(out.violations.is_empty());
+    assert_eq!(validate_trace(&out.stats, &out.trace, net.cap_bits()), vec![]);
 }
