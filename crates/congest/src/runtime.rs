@@ -282,6 +282,13 @@ pub struct RoundTrace {
     pub bits: u64,
     /// The most loaded directed edge `(from, to, bits)` this round, by
     /// offered traffic.
+    ///
+    /// Ties go to the first edge in sender order and then in each
+    /// sender's first-touch order: if a node sends 5 bits to `a`, 10 bits
+    /// to `b` and 5 more bits to `a`, both edges carry 10 bits and `a` is
+    /// the busiest. An edge used only by zero-size messages counts with
+    /// load 0, so a round whose only traffic is such messages still names
+    /// one. `None` when nothing was sent to a neighbor.
     pub busiest_edge: Option<(NodeId, NodeId, u64)>,
     /// Messages sent this round that fault injection discarded.
     pub dropped: u64,
@@ -533,7 +540,7 @@ impl<'g> Network<'g> {
         if nodes.len() != n {
             return Err(RuntimeError::WrongNodeCount { expected: n, got: nodes.len() });
         }
-        let mut core = ExecCore::new(n, self.graph.max_degree(), rec.tel.is_some());
+        let mut core = ExecCore::new(n, rec.trace.is_some(), rec.tel.is_some());
         if let Some(tel) = rec.tel.as_deref_mut() {
             tel.begin_engine_run();
         }
@@ -740,6 +747,9 @@ struct ExecCore<M> {
     /// The current sender's outbox; always empty between senders.
     outbox: Vec<(NodeId, M)>,
     router: Router,
+    /// Whether a [`Trace`] or a [`Collector`] reads each round's busiest
+    /// edge; only then is it kept.
+    tracing: bool,
     /// Telemetry emitted this round, in node order, which the collector
     /// drains at the end of the round; `None` on untelemetered runs.
     shard: Option<Shard>,
@@ -748,13 +758,14 @@ struct ExecCore<M> {
 }
 
 impl<M: MessageSize> ExecCore<M> {
-    fn new(n: usize, max_degree: usize, telemetering: bool) -> Self {
+    fn new(n: usize, tracing: bool, telemetering: bool) -> Self {
         ExecCore {
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             next_inboxes: (0..n).map(|_| Vec::new()).collect(),
             wheel: DelayWheel::new(),
             outbox: Vec::new(),
-            router: Router::new(max_degree),
+            router: Router::default(),
+            tracing: tracing || telemetering,
             shard: telemetering.then(Shard::default),
             stats: RunStats::default(),
             last_active_round: 0,
@@ -776,19 +787,20 @@ impl<M: MessageSize> ExecCore<M> {
         let mut trace = RoundTrace::default();
         let mut any_sent = false;
         for (v, node) in nodes.iter_mut().enumerate() {
+            let neighbors = net.graph.neighbors(v);
             let mut ctx = Ctx {
                 me: v,
                 round,
                 n,
                 cap_bits: net.cap_bits,
-                neighbors: net.graph.neighbors(v),
+                neighbors,
                 out: &mut self.outbox,
                 tel: self.shard.as_mut(),
             };
             node.on_round(&mut ctx, &self.inboxes[v]);
             if !self.outbox.is_empty() {
                 any_sent = true;
-                self.route_outbox(net, v, round, &mut trace, audit.as_deref_mut())?;
+                self.route_outbox(net, v, neighbors, round, &mut trace, audit.as_deref_mut())?;
             }
         }
         self.stats.messages += trace.messages;
@@ -800,45 +812,61 @@ impl<M: MessageSize> ExecCore<M> {
         Ok(trace)
     }
 
-    /// Validate sender `from`'s outbox against the model, apply fault
-    /// verdicts, and deliver each surviving message straight into the next
-    /// round's inboxes (or the delay wheel).
+    /// Validate the outbox of sender `from`, whose sorted adjacency is
+    /// `neighbors`, against the model, apply fault verdicts, and deliver
+    /// each surviving message straight into the next round's inboxes (or
+    /// the delay wheel).
     ///
-    /// Per-edge load is accumulated in the router's rank-indexed slot
-    /// array — one `O(log deg)` rank lookup per message, no per-sender
-    /// allocation — and only the touched slots are flushed and reset, so
-    /// routing cost is proportional to traffic rather than to the sender's
-    /// degree.
+    /// Each message costs one rank lookup, one cap check, the counters and
+    /// the push. The lookup first tries the rank after the previous
+    /// message's, which is where broadcasts and child loops send next, and
+    /// falls back to a binary search. When no edge carries two messages
+    /// (see [`may_reuse_an_edge`]), a message's size is its edge's load;
+    /// only other outboxes accumulate per-edge loads in the [`Router`]. The
+    /// round's busiest edge and the telemetry edge feed are kept only when
+    /// a trace or a collector reads them.
     ///
     /// A model breach aborts the run with an error, unless the run audits:
     /// then it is pushed onto `audit` and the outbox keeps draining
     /// (audited cap overflows still deliver; audited non-neighbor sends are
     /// discarded, as there is no edge to carry them).
-    #[inline]
+    ///
+    /// Always inlined: its one call site is `run_round`'s sender loop, and
+    /// the call would otherwise cost about as much as routing a message.
+    #[inline(always)]
     fn route_outbox(
         &mut self,
         net: &Network<'_>,
         from: NodeId,
+        neighbors: &[NodeId],
         round: usize,
         trace: &mut RoundTrace,
         mut audit: Option<&mut Vec<Violation>>,
     ) -> Result<(), RuntimeError> {
-        let ExecCore { next_inboxes, wheel, outbox, router, shard, stats, .. } = self;
+        let ExecCore { next_inboxes, wheel, outbox, router, shard, stats, tracing, .. } = self;
         let cap = net.cap_bits;
+        let accumulate = may_reuse_an_edge(outbox);
+        if accumulate {
+            router.fit(neighbors.len());
+        }
+        let mut edges = shard.as_mut().map(|s| &mut s.edges);
+        let mut next_rank = 0;
         for (idx, (to, msg)) in outbox.drain(..).enumerate() {
-            let Some(rank) = net.graph.neighbor_rank(from, to) else {
+            let rank = if neighbors.get(next_rank) == Some(&to) {
+                next_rank
+            } else if let Ok(rank) = neighbors.binary_search(&to) {
+                rank
+            } else {
                 let Some(audit) = audit.as_deref_mut() else {
                     return Err(RuntimeError::NotANeighbor { round, from, to });
                 };
                 audit.push(Violation::NonNeighborSend { round, from, to });
                 continue; // no edge exists to carry the message
             };
+            next_rank = rank + 1;
             let bits = msg.size_bits();
-            if router.slots[rank] == 0 {
-                router.touched.push(rank);
-            }
-            router.slots[rank] += bits;
-            let load = router.slots[rank];
+            let load = if accumulate { router.add(rank, bits) } else { bits };
+            stats.max_edge_bits = stats.max_edge_bits.max(load);
             if load > cap {
                 let Some(audit) = audit.as_deref_mut() else {
                     return Err(RuntimeError::BandwidthExceeded {
@@ -850,6 +878,9 @@ impl<M: MessageSize> ExecCore<M> {
                     });
                 };
                 audit.push(Violation::CapExceeded { round, from, to, bits: load, cap });
+            }
+            if *tracing && !accumulate {
+                note_edge(trace, &mut edges, from, to, load);
             }
             // Model validation passed (or was audited); now the fault plan
             // decides the message's fate. Dropped messages still loaded the
@@ -882,8 +913,9 @@ impl<M: MessageSize> ExecCore<M> {
                 wheel.schedule(delay, to, from, msg);
             }
         }
-        let edges = shard.as_mut().map(|s| &mut s.edges);
-        router.flush(from, net.graph.neighbors(from), stats, trace, edges);
+        if accumulate {
+            router.flush(from, neighbors, tracing.then_some(trace), edges);
+        }
         Ok(())
     }
 
@@ -902,51 +934,86 @@ impl<M: MessageSize> ExecCore<M> {
     }
 }
 
-/// Rank-indexed per-edge load accounting for one sender at a time.
+/// Whether `outbox` may put two messages on one edge. The answer is exact
+/// when the targets after the first strictly ascend, which covers
+/// one-message outboxes, broadcasts, child loops, and a message to the
+/// parent followed by a child loop; any other outbox answers `true`.
+fn may_reuse_an_edge<M>(outbox: &[(NodeId, M)]) -> bool {
+    let Some(((first, _), rest)) = outbox.split_first() else { return false };
+    !rest.windows(2).all(|w| w[0].0 < w[1].0)
+        || rest.binary_search_by_key(first, |&(to, _)| to).is_ok()
+}
+
+/// Rank-indexed per-edge loads of one sender whose outbox may put more
+/// than one message on an edge.
 ///
 /// `slots[r]` is the bits queued this round on the edge to the sender's
-/// rank-`r` neighbor; `touched` lists the dirty ranks so resetting costs
-/// `O(edges used)`, not `O(degree)`. A zero-size message may push its rank
-/// twice, which only makes the flush revisit a slot it already cleared.
-#[derive(Debug)]
+/// rank-`r` neighbor; `touched` lists the dirty ranks in first-touch order,
+/// so resetting costs `O(edges used)`, not `O(degree)`. A zero-size message
+/// may push its rank twice, which only makes the flush revisit a slot it
+/// already cleared. The slots grow to the largest degree that needs them.
+#[derive(Debug, Default)]
 struct Router {
     slots: Vec<u64>,
     touched: Vec<usize>,
 }
 
 impl Router {
-    fn new(max_degree: usize) -> Self {
-        Router { slots: vec![0; max_degree], touched: Vec::new() }
+    /// Make room for a sender of degree `degree`.
+    fn fit(&mut self, degree: usize) {
+        if self.slots.len() < degree {
+            self.slots.resize(degree, 0);
+        }
     }
 
-    /// Fold the touched per-edge loads of sender `from` into the run's
-    /// largest edge load and the round's busiest edge, and reset the slots
-    /// for the next sender.
+    /// Add `bits` to the edge of rank `rank`; returns the edge's load.
     #[inline]
+    fn add(&mut self, rank: usize, bits: u64) -> u64 {
+        if self.slots[rank] == 0 {
+            self.touched.push(rank);
+        }
+        self.slots[rank] += bits;
+        self.slots[rank]
+    }
+
+    /// Reset the slots for the next sender, first folding each touched
+    /// edge's final load, in first-touch order, into the round's busiest
+    /// edge and the telemetry edge feed when `trace` is given.
     fn flush(
         &mut self,
         from: NodeId,
         neighbors: &[NodeId],
-        stats: &mut RunStats,
-        trace: &mut RoundTrace,
+        mut trace: Option<&mut RoundTrace>,
         mut edges: Option<&mut Vec<(NodeId, NodeId, u64)>>,
     ) {
         for &r in &self.touched {
-            let load = self.slots[r];
-            self.slots[r] = 0;
-            stats.max_edge_bits = stats.max_edge_bits.max(load);
-            if trace.busiest_edge.is_none_or(|(_, _, b)| load > b) {
-                trace.busiest_edge = Some((from, neighbors[r], load));
-            }
-            // Telemetry-only per-edge load feed; `load == 0` slots (from a
-            // zero-size message's double-push) are skipped like elsewhere.
-            if load > 0 {
-                if let Some(sink) = edges.as_deref_mut() {
-                    sink.push((from, neighbors[r], load));
-                }
+            let load = std::mem::take(&mut self.slots[r]);
+            if let Some(trace) = trace.as_deref_mut() {
+                note_edge(trace, &mut edges, from, neighbors[r], load);
             }
         }
         self.touched.clear();
+    }
+}
+
+/// Fold the final load of edge `(from, to)` into the round's busiest edge,
+/// which stays the first edge with the strictly largest load, and into the
+/// telemetry edge feed, which skips zero loads.
+#[inline]
+fn note_edge(
+    trace: &mut RoundTrace,
+    edges: &mut Option<&mut Vec<(NodeId, NodeId, u64)>>,
+    from: NodeId,
+    to: NodeId,
+    load: u64,
+) {
+    if trace.busiest_edge.is_none_or(|(_, _, b)| load > b) {
+        trace.busiest_edge = Some((from, to, load));
+    }
+    if load > 0 {
+        if let Some(sink) = edges.as_deref_mut() {
+            sink.push((from, to, load));
+        }
     }
 }
 

@@ -50,15 +50,32 @@ impl MeetingInstance {
         self.availability[0].len()
     }
 
-    /// Per-slot attendance totals (centralized ground truth).
+    /// Per-slot attendance totals (centralized ground truth), accumulated
+    /// row by row.
     pub fn attendance(&self) -> Vec<u64> {
-        let k = self.k();
-        (0..k).map(|i| self.availability.iter().filter(|row| row[i]).count() as u64).collect()
+        let mut totals = vec![0; self.k()];
+        for row in &self.availability {
+            add_row(&mut totals, row);
+        }
+        totals
     }
 
-    /// The maximum attendance (ground truth).
+    /// The maximum attendance (ground truth), taken while the last row is
+    /// added.
     pub fn best_attendance(&self) -> u64 {
-        self.attendance().into_iter().max().unwrap_or(0)
+        let Some((last, rows)) = self.availability.split_last() else { return 0 };
+        let mut totals = vec![0; self.k()];
+        for row in rows {
+            add_row(&mut totals, row);
+        }
+        totals.iter().zip(last).map(|(&t, &free)| t + u64::from(free)).max().unwrap_or(0)
+    }
+}
+
+/// Add one node's calendar to the per-slot totals.
+fn add_row(totals: &mut [u64], row: &[bool]) {
+    for (t, &free) in totals.iter_mut().zip(row) {
+        *t += u64::from(free);
     }
 }
 

@@ -70,6 +70,23 @@ proptest! {
         prop_assert_eq!(inst.attendance()[res.slot], res.attendance);
     }
 
+    /// The row-major ground truth equals the column-wise definition
+    /// `Σ_v x_i^{(v)}`, and its best slot is the column-wise maximum.
+    #[test]
+    fn attendance_matches_the_column_wise_definition(
+        n in 1usize..30,
+        k in 1usize..200,
+        p_free in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let inst = MeetingInstance::random(n, k, p_free, seed);
+        let column_wise: Vec<u64> = (0..k)
+            .map(|i| inst.availability.iter().filter(|row| row[i]).count() as u64)
+            .collect();
+        prop_assert_eq!(inst.attendance(), column_wise.clone());
+        prop_assert_eq!(inst.best_attendance(), column_wise.into_iter().max().unwrap());
+    }
+
     #[test]
     fn classical_distinctness_always_exact(
         g in arb_graph(),
