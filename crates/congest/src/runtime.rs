@@ -540,7 +540,8 @@ impl<'g> Network<'g> {
         if nodes.len() != n {
             return Err(RuntimeError::WrongNodeCount { expected: n, got: nodes.len() });
         }
-        let mut core = ExecCore::new(n, rec.trace.is_some(), rec.tel.is_some());
+        let tracing = rec.trace.is_some() || rec.tel.is_some();
+        let mut core = ExecCore::new(n, tracing, rec.tel.is_some());
         if let Some(tel) = rec.tel.as_deref_mut() {
             tel.begin_engine_run();
         }
@@ -765,7 +766,7 @@ impl<M: MessageSize> ExecCore<M> {
             wheel: DelayWheel::new(),
             outbox: Vec::new(),
             router: Router::default(),
-            tracing: tracing || telemetering,
+            tracing,
             shard: telemetering.then(Shard::default),
             stats: RunStats::default(),
             last_active_round: 0,
@@ -817,12 +818,10 @@ impl<M: MessageSize> ExecCore<M> {
     /// each surviving message straight into the next round's inboxes (or
     /// the delay wheel).
     ///
-    /// Each message costs one rank lookup, one cap check, the counters and
-    /// the push. The lookup first tries the rank after the previous
-    /// message's, which is where broadcasts and child loops send next, and
-    /// falls back to a binary search. When no edge carries two messages
-    /// (see [`may_reuse_an_edge`]), a message's size is its edge's load;
-    /// only other outboxes accumulate per-edge loads in the [`Router`]. The
+    /// Each message costs one `O(log deg)` rank lookup, one cap check, the
+    /// counters and the push. When no edge carries two messages (see
+    /// [`may_reuse_an_edge`]), a message's size is its edge's load; only
+    /// other outboxes accumulate per-edge loads in the [`Router`]. The
     /// round's busiest edge and the telemetry edge feed are kept only when
     /// a trace or a collector reads them.
     ///
@@ -831,8 +830,9 @@ impl<M: MessageSize> ExecCore<M> {
     /// (audited cap overflows still deliver; audited non-neighbor sends are
     /// discarded, as there is no edge to carry them).
     ///
-    /// Always inlined: its one call site is `run_round`'s sender loop, and
-    /// the call would otherwise cost about as much as routing a message.
+    /// Always inlined into its one call site, `run_round`'s sender loop:
+    /// the compiler keeps this large body out of line otherwise, and on
+    /// small networks the per-sender call is a measurable share of a round.
     #[inline(always)]
     fn route_outbox(
         &mut self,
@@ -850,20 +850,14 @@ impl<M: MessageSize> ExecCore<M> {
             router.fit(neighbors.len());
         }
         let mut edges = shard.as_mut().map(|s| &mut s.edges);
-        let mut next_rank = 0;
         for (idx, (to, msg)) in outbox.drain(..).enumerate() {
-            let rank = if neighbors.get(next_rank) == Some(&to) {
-                next_rank
-            } else if let Ok(rank) = neighbors.binary_search(&to) {
-                rank
-            } else {
+            let Ok(rank) = neighbors.binary_search(&to) else {
                 let Some(audit) = audit.as_deref_mut() else {
                     return Err(RuntimeError::NotANeighbor { round, from, to });
                 };
                 audit.push(Violation::NonNeighborSend { round, from, to });
                 continue; // no edge exists to carry the message
             };
-            next_rank = rank + 1;
             let bits = msg.size_bits();
             let load = if accumulate { router.add(rank, bits) } else { bits };
             stats.max_edge_bits = stats.max_edge_bits.max(load);
