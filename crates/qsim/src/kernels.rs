@@ -14,9 +14,9 @@
 //!
 //! ## Parallelism and determinism
 //!
-//! Kernels fan out with `std::thread::scope` over contiguous amplitude
-//! chunks, the idiom of the `congest` parallel round engine. Results are
-//! **bit-identical across thread counts**:
+//! Kernels fan out with `std::thread::scope` over contiguous ranges of
+//! work — amplitude chunks, blocks, tiles or swap-tile rows — and join
+//! before they return. Results are **bit-identical across thread counts**:
 //!
 //! * gate kernels are elementwise on disjoint pairs — each amplitude is
 //!   written by exactly one thread with exactly the operations the
@@ -33,8 +33,9 @@
 //! ## SIMD
 //!
 //! On x86-64 CPUs with AVX2 the dense complex loops — uncontrolled
-//! single-qubit pairs and the diagonal sweep's phase multiplies — run two
-//! amplitudes per 256-bit register. The path is picked once per kernel call
+//! single-qubit pairs, qubit 0's in-register pairs included, and the
+//! diagonal sweep's phase multiplies, runs of one amplitude included — run
+//! two amplitudes per 256-bit register. The path is picked once per kernel call
 //! (`Path::detect`). Each complex product is the same four IEEE products,
 //! one subtraction and one addition as `C64::mul`, with no FMA, so both
 //! paths give identical bits; the scalar loops are the fallback elsewhere
@@ -138,8 +139,11 @@ fn apply_1q_seq(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2], path: Path) {
     match path {
         // SAFETY: `Path::Avx2` is only picked on CPUs with AVX2.
         #[cfg(target_arch = "x86_64")]
-        Path::Avx2 if bit >= 2 => unsafe { simd::apply_1q_seq(amps, bit, m) },
-        _ => {
+        Path::Avx2 if bit == 1 => unsafe { simd::apply_1q_q0(amps, m) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 => unsafe { simd::apply_1q_seq(amps, bit, m) },
+        Path::Scalar => {
             for chunk in amps.chunks_exact_mut(bit << 1) {
                 let (lo, hi) = chunk.split_at_mut(bit);
                 for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
@@ -264,6 +268,75 @@ mod simd {
         }
     }
 
+    /// `super::apply_1q_seq` for qubit 0, where the pair `(a₀, a₁)` is one
+    /// register: broadcast each half, multiply by the columns `[m00|m10]`
+    /// and `[m01|m11]`, and add. Lane by lane that is `m00·a₀ + m01·a₁`
+    /// and `m10·a₀ + m11·a₁`, as in `pair_update`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn apply_1q_q0(amps: &mut [C64], m: &[[C64; 2]; 2]) {
+        let [[m00, m01], [m10, m11]] = *m;
+        let column = |t: C64, b: C64| {
+            (_mm256_setr_pd(t.re, t.re, b.re, b.re), _mm256_setr_pd(t.im, t.im, b.im, b.im))
+        };
+        let (c0, c1) = (column(m00, m10), column(m01, m11));
+        for pair in amps.chunks_exact_mut(2) {
+            let p = pair.as_mut_ptr();
+            // SAFETY: `pair` holds two amplitudes.
+            unsafe {
+                let a = load(p);
+                let (a0, a1) =
+                    (_mm256_permute2f128_pd::<0x00>(a, a), _mm256_permute2f128_pd::<0x11>(a, a));
+                store(p, _mm256_add_pd(mul(a0, c0), mul(a1, c1)));
+            }
+        }
+    }
+
+    /// `super::scale_masked`: `a ← a · f` on the runs `c | mask ..` of
+    /// `2^{tz(mask)}` amplitudes, for every subset `c` of `free`, in one
+    /// loop. A run of one amplitude is the odd half of the pair that starts
+    /// one below it: multiply the pair, then blend the even amplitude back
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `mask` is non-zero and `mask | free` is below
+    /// `sub.len()`, which `sub`'s index bits then contain.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scale_masked(sub: &mut [C64], mask: usize, free: usize, f: C64) {
+        let len = 1usize << mask.trailing_zeros();
+        assert!(mask != 0 && (mask | free | (len - 1)) < sub.len(), "mask outside the sub-block");
+        let fs = splat(f);
+        let p = sub.as_mut_ptr();
+        let next = |c: usize| (c != free).then(|| c.wrapping_sub(free) & free);
+        let mut c = Some(0usize);
+        if len == 1 {
+            // `mask` has bit 0 set, so `c | mask` is odd.
+            let even = mask & !1;
+            while let Some(s) = c {
+                // SAFETY: `s | mask < sub.len()` by the assertion, and the
+                // pair starts at `s | even = (s | mask) − 1`.
+                unsafe {
+                    let q = p.add(s | even);
+                    let v = load(q);
+                    store(q, _mm256_blend_pd::<0b1100>(v, mul(v, fs)));
+                }
+                c = next(s);
+            }
+        } else {
+            while let Some(s) = c {
+                for o in (0..len).step_by(2) {
+                    // SAFETY: the run `s | mask .. + len` ends at
+                    // `s | mask | (len − 1) < sub.len()`.
+                    unsafe {
+                        let q = p.add((s | mask) + o);
+                        store(q, mul(load(q), fs));
+                    }
+                }
+                c = next(s);
+            }
+        }
+    }
+
     /// `super::scale_run`: `a ← a · f` over `run`, two at a time.
     #[target_feature(enable = "avx2")]
     pub(super) fn scale_run(run: &mut [C64], f: C64) {
@@ -342,7 +415,8 @@ fn expand(mut c: usize, fixed: &[usize]) -> usize {
 /// ranges of work items, and distinct work items touch disjoint amplitudes.
 /// A controlled gate's compressed counter maps (via [`expand`]) to a
 /// distinct `(i, i | bit)` pair, a tile index to a distinct set of blocks,
-/// and a swap is made only from the smaller index of its pair.
+/// and a pair of swap tiles is handled only from the tile with the smaller
+/// outer pattern (see [`apply_swaps`]).
 struct AmpsPtr(*mut C64);
 // SAFETY: the only field is the pointer; `C64` is plain `Copy` data, and
 // the index discipline above keeps threads on disjoint amplitudes.
@@ -443,14 +517,24 @@ pub fn apply_controlled_1q(
 }
 
 /// Amplitudes per block in the blocked diagonal sweep: 2^12 · 16 B = 64 KiB.
-/// That is larger than a typical 32–48 KiB L1d, so a block is L2-resident
-/// rather than L1-resident while its terms run.
 ///
 /// The block size is part of the result, not just of the schedule: terms
 /// are classified and merged per block, and merging multiplies factors
 /// together before they reach an amplitude. Changing this constant changes
 /// result bits.
+///
+/// A block is larger than a typical 32–48 KiB L1d, so after classifying a
+/// block's terms the sweep applies them [`DIAG_SUB_BLOCK`] amplitudes at a
+/// time: each sub-block takes the block prefactor and then every active
+/// term, in the block's term order, before the next sub-block starts.
 const DIAG_BLOCK: usize = 1 << 12;
+
+/// Amplitudes per L1-resident sub-block of a diagonal sweep: 2^8 · 16 B =
+/// 4 KiB. Sub-blocks only reorder the work between amplitudes: every
+/// amplitude still gets the block prefactor and then each active term's
+/// factor, in order, and no terms merge at this level. Changing this
+/// constant does not change result bits, unlike [`DIAG_BLOCK`].
+const DIAG_SUB_BLOCK: usize = 1 << 8;
 
 /// Index bits every tile spans: the bits of one [`DIAG_BLOCK`].
 const TILE_LOW_BITS: usize = DIAG_BLOCK.trailing_zeros() as usize;
@@ -471,8 +555,9 @@ pub(crate) fn is_high_target(q: usize) -> bool {
 /// terms whose mask lies entirely in the high bits collapse to a scalar
 /// prefactor, and terms that reduce to the same block-local low mask merge
 /// into one. Blocks no term touches are skipped without reading their
-/// amplitudes. Each surviving term then multiplies the contiguous runs of
-/// `2^{tz(mask)}` amplitudes its mask selects — only the
+/// amplitudes. The block is then swept one [`DIAG_SUB_BLOCK`] at a time: the
+/// prefactor first, then each surviving term on the amplitudes its mask
+/// selects inside the sub-block (see [`scale_masked`]) — only the
 /// `block_len / 2^{popcount}` amplitudes it fires on are visited. `active` is
 /// scratch space for the per-block term list.
 fn diag_sweep_run(
@@ -504,20 +589,46 @@ fn diag_sweep_run(
                 active.push(DiagTerm { mask: lm, factor: t.factor });
             }
         }
-        if fired {
-            scale_run(block, pre, path);
+        let sub_len = DIAG_SUB_BLOCK.min(block_len);
+        let sub_low = sub_len - 1;
+        for (si, sub) in block.chunks_mut(sub_len).enumerate() {
+            let sub_base = si * sub_len;
+            if fired {
+                scale_run(sub, pre, path);
+            }
+            for t in active.iter() {
+                // Bits above the sub-block are fixed inside it, as the
+                // block's high bits are inside the block.
+                let high = t.mask & !sub_low;
+                if sub_base & high != high {
+                    continue;
+                }
+                match t.mask & sub_low {
+                    0 => scale_run(sub, t.factor, path),
+                    mask => scale_masked(sub, mask, t.factor, path),
+                }
+            }
         }
-        for t in active.iter() {
-            // The mask's lowest set bit is above a contiguous run of free
-            // bits, so the term fires on runs of `2^{tz}` neighbours.
-            // Enumerate the run starts — the patterns of the remaining free
-            // bits — in ascending order with the O(1) subset-increment.
-            let len = 1usize << t.mask.trailing_zeros();
-            let free = low & !t.mask & !(len - 1);
-            let f = t.factor;
+    }
+}
+
+/// Multiply every amplitude `x` of `sub` with `x & mask == mask` by `f`
+/// (`0 < mask < sub.len()`). The mask's lowest set bit is above a contiguous
+/// run of free bits, so the term fires on runs of `2^{tz(mask)}`
+/// neighbours. The run starts — the patterns of the remaining free bits —
+/// are enumerated in ascending order with the O(1) subset-increment.
+#[inline(always)]
+fn scale_masked(sub: &mut [C64], mask: usize, f: C64, path: Path) {
+    let len = 1usize << mask.trailing_zeros();
+    let free = (sub.len() - 1) & !mask & !(len - 1);
+    match path {
+        // SAFETY: `Path::Avx2` is only picked on CPUs with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 => unsafe { simd::scale_masked(sub, mask, free, f) },
+        Path::Scalar => {
             let mut c = 0usize;
             loop {
-                scale_run(&mut block[c | t.mask..][..len], f, path);
+                scale_run(&mut sub[c | mask..][..len], f, path);
                 if c == free {
                     break;
                 }
@@ -677,50 +788,100 @@ unsafe fn run_tile(
     }
 }
 
+/// Low index bits every swap tile spans (see [`apply_swaps`]): `2^3`
+/// amplitudes are two 64-byte cache lines. The width only orders the swaps,
+/// which move values unchanged, so changing it does not change results.
+const SWAP_TILE_BITS: usize = 3;
+
 /// Swap each qubit pair in `pairs` (pairwise disjoint) in one in-place
-/// pass. The pairs permute index bits, so the permutation splits over a
-/// low/high cut of the index: `y = lo[x & m] | hi[x >> h]` with two tables
-/// of about `2^{n/2}` entries. The permutation is an involution, so the
-/// amplitudes at `x` and `y` are exchanged once, by the worker owning the
-/// smaller index. Workers take contiguous index ranges, and values move
-/// unchanged, so the result is identical for every thread count.
+/// pass.
+///
+/// The pairs permute index bits, an involution `π` on the basis states.
+/// The pass runs over tiles: a tile's *tile bits* are the low three index
+/// bits (`SWAP_TILE_BITS`) together with their swap partners, and a
+/// tile is every index with one fixed pattern of the other, *outer*, bits.
+/// The tile bits are closed under the pairs, so `π` maps each tile `o` onto
+/// the tile `π(o)`, offset by offset. Each tile is either its own image,
+/// and exchanges `x` with `π(x)` for `π(x) > x` inside itself, or pairs
+/// with a distinct image tile, and the tile with the smaller outer pattern
+/// exchanges its whole contents with it. So every pair `{x, π(x)}` is
+/// exchanged exactly once, and every cache line a tile loads is used in
+/// full on both sides, since a tile and its image both contain every
+/// pattern of the low bits.
+///
+/// Tiles are walked in Z-order: the outer bits ascend, each followed by its
+/// partner, so consecutive tiles stay close on both sides. Workers take
+/// contiguous ranges of tiles; a tile pair is only touched by the worker
+/// owning its smaller outer pattern, and values move unchanged, so the
+/// result is identical for every thread count.
 ///
 /// # Panics
 ///
 /// Panics if a qubit is out of range or appears in two pairs.
 pub fn apply_swaps(amps: &mut [C64], pairs: &[(usize, usize)], threads: usize) {
     let n = amps.len().trailing_zeros() as usize;
-    let mut used = 0usize;
+    let mut partner: Vec<usize> = (0..n).collect();
     for &(a, b) in pairs {
         assert!(a < n && b < n, "swap qubit out of range");
-        let bits = (1usize << a) | (1usize << b);
-        assert!(a != b && used & bits == 0, "swap pairs must be disjoint");
-        used |= bits;
+        assert!(a != b && partner[a] == a && partner[b] == b, "swap pairs must be disjoint");
+        (partner[a], partner[b]) = (b, a);
     }
-    let permute = |x: usize| {
-        pairs.iter().fold(x, |y, &(a, b)| {
-            let d = ((x >> a) ^ (x >> b)) & 1;
-            y ^ ((d << a) | (d << b))
-        })
+    let permute = |x: usize| (0..n).fold(0, |y, p| y | (x >> p & 1) << partner[p]);
+    let low = (1usize << SWAP_TILE_BITS.min(n)) - 1;
+    let tile_mask = (0..n).fold(0usize, |m, p| m | ((low >> p | low >> partner[p]) & 1) << p);
+    // Every tile offset with its image, ascending; the self-image case only
+    // needs the offsets whose image is larger.
+    let mut whole = Vec::with_capacity(1 << tile_mask.count_ones());
+    let mut t = 0usize;
+    loop {
+        whole.push((t, permute(t)));
+        if t == tile_mask {
+            break;
+        }
+        t = t.wrapping_sub(tile_mask) & tile_mask;
+    }
+    let upper: Vec<(usize, usize)> = whole.iter().copied().filter(|&(x, y)| y > x).collect();
+    // Outer bits in Z-order, each with its partner's position.
+    let mut outer: Vec<(usize, usize)> = Vec::with_capacity(n);
+    for p in (0..n).filter(|&p| tile_mask >> p & 1 == 0) {
+        if !outer.iter().any(|&(q, _)| q == p) {
+            outer.push((p, partner[p]));
+            if partner[p] != p {
+                outer.push((partner[p], p));
+            }
+        }
+    }
+    // A tile counter's outer pattern and its image, split into a row (the
+    // high counter bits) and a column (the low ones) looked up in tables.
+    let (cols, rows) = outer.split_at(outer.len() / 2);
+    let spread = |bits: &[(usize, usize)]| -> Vec<(usize, usize)> {
+        let fold = |c: usize| {
+            bits.iter()
+                .enumerate()
+                .fold((0, 0), |(x, y), (k, &(p, q))| (x | (c >> k & 1) << p, y | (c >> k & 1) << q))
+        };
+        (0..1usize << bits.len()).map(fold).collect()
     };
-    let h = n / 2;
-    let lo: Vec<usize> = (0..1usize << h).map(permute).collect();
-    let hi: Vec<usize> = (0..1usize << (n - h)).map(|x| permute(x << h)).collect();
-    let threads = threads.max(1).min(hi.len());
+    let (cols, rows) = (spread(cols), spread(rows));
+    let threads = threads.max(1).min(rows.len());
     crate::metrics::bump(crate::metrics::Counter::KernelLaunches, 1);
     crate::metrics::bump(crate::metrics::Counter::KernelThreads, threads as u64);
     let ptr = AmpsPtr(amps.as_mut_ptr());
-    for_ranges(hi.len(), threads, |rows| {
-        for xh in rows {
-            let yh = hi[xh];
-            for (xl, &yl) in lo.iter().enumerate() {
-                let x = xh << h | xl;
-                let y = yl | yh;
-                if y > x {
-                    // SAFETY: `x, y < 2^n`; the permutation is an
-                    // involution, so the pair {x, y} is visited only from
-                    // its smaller index, by one worker.
-                    unsafe { std::ptr::swap(ptr.get().add(x), ptr.get().add(y)) };
+    for_ranges(rows.len(), threads, |range| {
+        for &(xr, yr) in &rows[range] {
+            for &(xc, yc) in &cols {
+                let (xo, yo) = (xr | xc, yr | yc);
+                let offsets = match xo.cmp(&yo) {
+                    std::cmp::Ordering::Less => &whole,
+                    std::cmp::Ordering::Equal => &upper,
+                    std::cmp::Ordering::Greater => continue,
+                };
+                for &(xt, yt) in offsets {
+                    // SAFETY: `xo | xt` and `yo | yt` are below `2^n` and
+                    // distinct. Only the worker owning the tile pair's
+                    // smaller outer pattern `xo` touches either tile (see
+                    // above).
+                    unsafe { std::ptr::swap(ptr.get().add(xo | xt), ptr.get().add(yo | yt)) };
                 }
             }
         }
@@ -1258,6 +1419,43 @@ mod tests {
                 apply_1q_seq(&mut scalar, 1 << q, &m, Path::Scalar);
                 apply_1q_seq(&mut simd, 1 << q, &m, fast);
                 assert_bits(&simd, &scalar, &format!("apply_1q_seq n={n} q={q}"));
+                // Qubit 0 has its own AVX2 kernel: call it directly too, so
+                // the comparison cannot pass through a scalar fallback.
+                #[cfg(target_arch = "x86_64")]
+                if q == 0 {
+                    let mut direct = with_zeros(n, 3);
+                    // SAFETY: `fast` is `Path::Avx2`, so the CPU has AVX2.
+                    unsafe { simd::apply_1q_q0(&mut direct, &m) };
+                    assert_bits(&direct, &scalar, &format!("simd::apply_1q_q0 n={n}"));
+                }
+            }
+        }
+        // Masked runs of 1, 2, 4 and 128 amplitudes, directly on the AVX2
+        // loop and through the dispatch, against the scalar loop.
+        for (len, mask) in [
+            (8usize, 0b1usize),
+            (8, 0b101),
+            (256, 0b11),
+            (256, 0b1000_0010),
+            (256, 0b100),
+            (256, 0b1000_0000),
+        ] {
+            let f = random_matrix(60 + mask as u64)[0][1];
+            let mut scalar = with_zeros(len.trailing_zeros() as usize, 14 + mask as u64);
+            let (mut simd, mut direct) = (scalar.clone(), scalar.clone());
+            scale_masked(&mut scalar, mask, f, Path::Scalar);
+            scale_masked(&mut simd, mask, f, fast);
+            assert_bits(&simd, &scalar, &format!("scale_masked len={len} mask={mask:#b}"));
+            #[cfg(target_arch = "x86_64")]
+            {
+                let free = (len - 1) & !mask & !((1 << mask.trailing_zeros()) - 1);
+                // SAFETY: `fast` is `Path::Avx2`, so the CPU has AVX2.
+                unsafe { simd::scale_masked(&mut direct, mask, free, f) };
+                assert_bits(
+                    &direct,
+                    &scalar,
+                    &format!("simd::scale_masked len={len} mask={mask:#b}"),
+                );
             }
         }
         for len in [0usize, 1, 2, 3, 4, 5, 4096, 4097] {
@@ -1340,6 +1538,190 @@ mod tests {
                         let what = format!("n={n} {name} j={j} threads={threads}");
                         assert_bits(&got, &want, &what);
                     }
+                }
+            }
+        }
+    }
+
+    /// The diagonal sweep without sub-blocks: the same per-block
+    /// classification and merging as [`diag_sweep_run`], then the prefactor
+    /// over the whole block and one whole-block pass per active term, with
+    /// one `scale_run` call per run.
+    fn whole_block_diag_sweep(run: &mut [C64], terms: &[DiagTerm], block_len: usize, path: Path) {
+        let low = block_len - 1;
+        let mut active: Vec<DiagTerm> = Vec::new();
+        for (bi, block) in run.chunks_mut(block_len).enumerate() {
+            let base = bi * block_len;
+            active.clear();
+            let mut pre = C64::ONE;
+            let mut fired = false;
+            for t in terms {
+                let high = t.mask & !low;
+                if base & high != high {
+                    continue;
+                }
+                let lm = t.mask & low;
+                if lm == 0 {
+                    pre = pre * t.factor;
+                    fired = true;
+                } else if let Some(slot) = active.iter_mut().find(|s| s.mask == lm) {
+                    slot.factor = slot.factor * t.factor;
+                } else {
+                    active.push(DiagTerm { mask: lm, factor: t.factor });
+                }
+            }
+            if fired {
+                scale_run(block, pre, path);
+            }
+            for t in &active {
+                let len = 1usize << t.mask.trailing_zeros();
+                let free = low & !t.mask & !(len - 1);
+                let mut c = 0usize;
+                loop {
+                    scale_run(&mut block[c | t.mask..][..len], t.factor, path);
+                    if c == free {
+                        break;
+                    }
+                    c = c.wrapping_sub(free) & free;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sub_blocked_diag_sweep_matches_whole_block_loop() {
+        let f = |k: usize| C64::from_polar(1.0, 0.29 * k as f64 + 0.05);
+        let terms = |masks: &[usize]| -> Vec<DiagTerm> {
+            masks.iter().enumerate().map(|(k, &mask)| DiagTerm { mask, factor: f(k) }).collect()
+        };
+        let sb = DIAG_SUB_BLOCK.trailing_zeros() as usize;
+        // Low mask bits 0, 1, either side of the sub-block boundary, and 11.
+        let lows = [0usize, 1, sb - 1, sb, sb + 1, 11];
+        let singles: Vec<usize> = lows.iter().map(|&l| 1 << l).collect();
+        let pairs: Vec<usize> = lows
+            .iter()
+            .flat_map(|&a| lows.iter().filter(move |&&b| b > a).map(move |&b| 1 << a | 1 << b))
+            .collect();
+        let with_high: Vec<usize> =
+            lows.iter().flat_map(|&l| [1 << l | 1 << 12, 1 << l | 1 << 13]).collect();
+        let sets: [(&str, Vec<usize>); 6] = [
+            ("singles", singles),
+            ("pairs", pairs),
+            ("with high bits", with_high),
+            // Prefactors from the empty mask and pure high masks.
+            ("prefactor", vec![0, 1 << 12, 0b1, 1 << 13 | 1 << 12, 0b10, 0, 1 << sb]),
+            // Equal block-local masks merge; masks equal only below the
+            // sub-block boundary must not.
+            (
+                "merged",
+                vec![
+                    0b1,
+                    0b1 | 1 << 12,
+                    0b1 | 1 << sb,
+                    0b1 | 1 << 13,
+                    0b1 | 1 << sb,
+                    0b11 | 1 << sb,
+                ],
+            ),
+            // A QFT step's terms: every lower qubit with qubit 11.
+            ("qft step", (0..11).map(|j| 1 << j | 1 << 11).collect()),
+        ];
+        let mut paths = vec![Path::Scalar];
+        if Path::detect() != Path::Scalar {
+            paths.push(Path::detect());
+        }
+        for n in [1usize, 3, sb - 1, sb, sb + 1, 12, 14] {
+            let block_len = DIAG_BLOCK.min(1 << n);
+            for (name, masks) in &sets {
+                let terms = terms(masks);
+                let orig = with_zeros(n, (n * 13 + masks.len()) as u64);
+                let mut want = orig.clone();
+                whole_block_diag_sweep(&mut want, &terms, block_len, Path::Scalar);
+                for &path in &paths {
+                    let mut reference = orig.clone();
+                    whole_block_diag_sweep(&mut reference, &terms, block_len, path);
+                    assert_bits(&reference, &want, &format!("reference n={n} {name} {path:?}"));
+                    let mut got = orig.clone();
+                    diag_sweep_run(&mut got, 0, &terms, block_len, &mut Vec::new(), path);
+                    assert_bits(&got, &want, &format!("diag_sweep_run n={n} {name} {path:?}"));
+                }
+                for threads in [1usize, 2, 4] {
+                    let mut got = orig.clone();
+                    apply_diag(&mut got, &terms, threads);
+                    assert_bits(&got, &want, &format!("apply_diag n={n} {name} threads={threads}"));
+                }
+            }
+        }
+    }
+
+    /// [`apply_swaps`] as a row loop: `y = lo[x & m] | hi[x >> h]` with
+    /// `h = n/2`, each pair exchanged from its smaller index.
+    fn row_loop_swaps(amps: &mut [C64], pairs: &[(usize, usize)]) {
+        let n = amps.len().trailing_zeros() as usize;
+        let permute = |x: usize| {
+            pairs.iter().fold(x, |y, &(a, b)| {
+                let d = ((x >> a) ^ (x >> b)) & 1;
+                y ^ ((d << a) | (d << b))
+            })
+        };
+        let h = n / 2;
+        let lo: Vec<usize> = (0..1usize << h).map(permute).collect();
+        let hi: Vec<usize> = (0..1usize << (n - h)).map(|x| permute(x << h)).collect();
+        for (xh, &yh) in hi.iter().enumerate() {
+            for (xl, &yl) in lo.iter().enumerate() {
+                let (x, y) = (xh << h | xl, yl | yh);
+                if y > x {
+                    amps.swap(x, y);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_swaps_match_row_loop() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |k: usize| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % k
+        };
+        // Up to `k` disjoint pairs, each with one qubit from `a` and one
+        // from `b` (which may be the same pool).
+        let mut pick = |a: &[usize], b: &[usize], k: usize| {
+            let (mut a, mut b) = (a.to_vec(), b.to_vec());
+            let mut pairs = Vec::new();
+            while pairs.len() < k && !a.is_empty() {
+                let x = a.swap_remove(below(a.len()));
+                b.retain(|&q| q != x);
+                if b.is_empty() {
+                    break;
+                }
+                let y = b.swap_remove(below(b.len()));
+                a.retain(|&q| q != y);
+                pairs.push((x, y));
+            }
+            pairs
+        };
+        for n in 2..=16usize {
+            let h = n / 2;
+            let (all, low, high): (Vec<usize>, Vec<usize>, Vec<usize>) =
+                ((0..n).collect(), (0..h).collect(), (h..n).collect());
+            let sets = [
+                ("one random", pick(&all, &all, 1)),
+                ("random", pick(&all, &all, 1 + n / 4)),
+                ("all random", pick(&all, &all, n / 2)),
+                ("both low", pick(&low, &low, n)),
+                ("both high", pick(&high, &high, n)),
+                ("straddling", pick(&low, &high, n)),
+                ("bit reversal", (0..h).map(|i| (i, n - 1 - i)).collect()),
+            ];
+            for (name, pairs) in &sets {
+                let orig = with_zeros(n, (n * 7 + pairs.len()) as u64);
+                let mut want = orig.clone();
+                row_loop_swaps(&mut want, pairs);
+                for threads in [1usize, 2, 4] {
+                    let mut got = orig.clone();
+                    apply_swaps(&mut got, pairs, threads);
+                    assert_bits(&got, &want, &format!("n={n} {name} {pairs:?} threads={threads}"));
                 }
             }
         }
