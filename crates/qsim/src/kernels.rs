@@ -820,13 +820,19 @@ const SWAP_TILE_BITS: usize = 3;
 /// Panics if a qubit is out of range or appears in two pairs.
 pub fn apply_swaps(amps: &mut [C64], pairs: &[(usize, usize)], threads: usize) {
     let n = amps.len().trailing_zeros() as usize;
-    let mut partner: Vec<usize> = (0..n).collect();
+    let mut partner = [0usize; usize::BITS as usize];
+    partner.iter_mut().enumerate().for_each(|(p, q)| *q = p);
     for &(a, b) in pairs {
         assert!(a < n && b < n, "swap qubit out of range");
         assert!(a != b && partner[a] == a && partner[b] == b, "swap pairs must be disjoint");
         (partner[a], partner[b]) = (b, a);
     }
-    let permute = |x: usize| (0..n).fold(0, |y, p| y | (x >> p & 1) << partner[p]);
+    let permute = |x: usize| {
+        pairs.iter().fold(x, |y, &(a, b)| {
+            let d = ((x >> a) ^ (x >> b)) & 1;
+            y ^ ((d << a) | (d << b))
+        })
+    };
     let low = (1usize << SWAP_TILE_BITS.min(n)) - 1;
     let tile_mask = (0..n).fold(0usize, |m, p| m | ((low >> p | low >> partner[p]) & 1) << p);
     // Every tile offset with its image, ascending; the self-image case only
@@ -842,18 +848,19 @@ pub fn apply_swaps(amps: &mut [C64], pairs: &[(usize, usize)], threads: usize) {
     }
     let upper: Vec<(usize, usize)> = whole.iter().copied().filter(|&(x, y)| y > x).collect();
     // Outer bits in Z-order, each with its partner's position.
-    let mut outer: Vec<(usize, usize)> = Vec::with_capacity(n);
-    for p in (0..n).filter(|&p| tile_mask >> p & 1 == 0) {
-        if !outer.iter().any(|&(q, _)| q == p) {
-            outer.push((p, partner[p]));
-            if partner[p] != p {
-                outer.push((partner[p], p));
+    let mut outer = [(0usize, 0usize); usize::BITS as usize];
+    let (mut len, mut placed) = (0, tile_mask);
+    for p in 0..n {
+        for q in [p, partner[p]] {
+            if placed >> q & 1 == 0 {
+                outer[len] = (q, partner[q]);
+                (len, placed) = (len + 1, placed | 1 << q);
             }
         }
     }
     // A tile counter's outer pattern and its image, split into a row (the
     // high counter bits) and a column (the low ones) looked up in tables.
-    let (cols, rows) = outer.split_at(outer.len() / 2);
+    let (cols, rows) = outer[..len].split_at(len / 2);
     let spread = |bits: &[(usize, usize)]| -> Vec<(usize, usize)> {
         let fold = |c: usize| {
             bits.iter()
